@@ -33,6 +33,7 @@ __all__ = [
     "validate_terminal_no_switch",
     "validate_cycle_reduction",
     "evaluate_reward",
+    "reject_history_reward",
 ]
 
 
@@ -180,6 +181,12 @@ class SwitchingProblem:
             total += self.costs(prev, b, t)
             prev = b
         return total
+
+
+def reject_history_reward(problem: SwitchingProblem, who: str) -> None:
+    """Raise ValueError when ``problem`` carries a history reward ``who`` would ignore."""
+    if problem.history_reward is not None:
+        raise ValueError(f"{who} ignores history_reward; only evaluate_reward honours it")
 
 
 def validate_control(control: SwitchingControl, mode_set: ModeSet, grid: TimeGrid) -> list:

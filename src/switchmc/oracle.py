@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .controls import SwitchingProblem
+from .controls import SwitchingProblem, reject_history_reward
 from .sdde import TimeGrid, _quantized_increments, euler_increment
 from .snell import ScenarioTree
 
@@ -213,6 +213,7 @@ def exact_dp(instance: OracleInstance, k_max: int, with_table: bool = True) -> O
     less, so multi-switch chains at one instant compose naturally.
     """
     problem = instance.problem
+    reject_history_reward(problem, "the exact oracle")
     tree = instance.tree
     grid = instance.grid
     dt = grid.step
@@ -279,6 +280,7 @@ def enumerate_controls(instance: OracleInstance, k_max: int, max_contexts: int =
     explored contexts.
     """
     problem = instance.problem
+    reject_history_reward(problem, "the exact oracle")
     tree = instance.tree
     grid = instance.grid
     dt = grid.step

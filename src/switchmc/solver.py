@@ -20,16 +20,29 @@ The family is built by backward induction in the budget index:
   [t_i, t_{i+1}) fits the conditional expectation of the next-step
   level-k value.
 * The level-k value at (i, b) is the larger of the fitted continuation
-  (running reward over the step plus that fit) and the best switch,
-  whose value is read from the level-(k-1) table of the target mode at
-  the post-switch state, at the same instant, so same-instant switch
-  chains compose.  Closing that recursion needs the switch reset to be
-  either the identity or a function of the target mode alone; the moved
-  values then live in one table per target mode.
+  (running reward plus that fit) and the best switch, whose value is
+  read from the level-(k-1) table of the target mode at the post-switch
+  state, at the same instant, so same-instant switch chains compose.
+  Closing that recursion needs the switch reset to be either the
+  identity or a function of the target mode alone; the moved values
+  then live in one table per target mode.
 * Every surface evaluation is clipped to the empirical range of its
   regression targets.  A conditional mean cannot leave the target range,
   so the clip only suppresses polynomial extrapolation far from the
   training cloud.
+
+The recursion is written once.  ``_backward_pass`` runs a contiguous
+range of levels k_lo..k_hi in one time-major pass: from the horizon
+down, each step builds its designs once, makes one multi-column fit per
+mode for all levels of the range, and hands the fitted coefficients to
+``_level_values``, which evaluates continuation and best intervention
+level by level on top of level k_lo-1's post-switch table.  The main
+pass calls it once per level, because it is also the stopping search and
+must not fit levels above the one where the family settles.  Once that
+level is known, the standard-error block reruns fit all their levels in
+a single pass each.  ``ValueSurface`` stores the coefficients stacked per
+(step, mode) and evaluates value tables for the policy through the same
+``_level_values``, so decisions compare exactly what training compared.
 
 Certification resimulates the extracted policy on a fresh seed and
 reports the gap between the root value and the realized reward.
@@ -41,11 +54,11 @@ import io
 import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .controls import SwitchingProblem
+from .controls import SwitchingProblem, reject_history_reward
 from .sdde import DivergedError, TimeGrid, _draw_one, euler_increment, sample_noise_batch
 
 __all__ = [
@@ -80,17 +93,19 @@ class FeatureMap:
 
     def design(self, x: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
         v = x if y is None else np.concatenate([x, y], axis=1)
-        cols = [np.ones(v.shape[0])]
-        for j in range(v.shape[1]):
-            cols.append(v[:, j])
+        nv = v.shape[1]
+        out = np.empty((v.shape[0], self.n_features(nv, use_delay=False)))
+        out[:, 0] = 1.0
+        out[:, 1 : nv + 1] = v
+        col = nv + 1
         for deg in range(2, self.degree + 1):
-            for j in range(v.shape[1]):
-                cols.append(v[:, j] ** deg)
+            for j in range(nv):
+                out[:, col + j] = v[:, j] ** deg
+            col += nv
         if self.cross_terms and self.degree >= 2:
-            for j in range(v.shape[1]):
-                for l in range(j + 1, v.shape[1]):
-                    cols.append(v[:, j] * v[:, l])
-        return np.column_stack(cols)
+            left, right = np.triu_indices(nv, 1)
+            out[:, col:] = v[:, left] * v[:, right]
+        return out
 
     def n_features(self, dim: int, use_delay: bool) -> int:
         nv = dim * (2 if use_delay else 1)
@@ -105,7 +120,7 @@ class FitInfo:
     rank: int
     n_features: int
     used_ridge: bool
-    resid_std: float
+    resid_std: float  # one entry per column for a 2-D target
 
     @property
     def rank_deficient(self) -> bool:
@@ -124,28 +139,36 @@ def _fit(design: np.ndarray, target: np.ndarray):
     intercept) and get zero coefficients.  ``numpy.linalg.lstsq``
     resolves remaining rank deficiency by the minimum-norm solution,
     which keeps degenerate (e.g. deterministic) fits exact; the ridge
-    path only triggers if that still produces non-finite coefficients.
+    path only triggers for the target columns where that still produces
+    non-finite coefficients.
+
+    A 2-D target fits one column per right-hand side in a single solve;
+    the coefficients then have one column per target column and
+    ``resid_std`` is an array with one entry per column.
     """
     keep = np.ptp(design, axis=0) != 0.0
     keep[0] = True
     reduced = design[:, keep]
-    sol, _, rank, _ = np.linalg.lstsq(reduced, target, rcond=None)
-    used_ridge = False
-    if not np.all(np.isfinite(sol)):
+    rhs = target[:, None] if target.ndim == 1 else target
+    sol, _, rank, _ = np.linalg.lstsq(reduced, rhs, rcond=None)
+    bad = ~np.all(np.isfinite(sol), axis=0)
+    if bad.any():
         gram = reduced.T @ reduced
         p = gram.shape[0]
         lam = RIDGE_SCALE * np.trace(gram) / p
-        sol = np.linalg.solve(gram + lam * np.eye(p), reduced.T @ target)
-        used_ridge = True
-    coef = np.zeros(design.shape[1])
+        sol[:, bad] = np.linalg.solve(gram + lam * np.eye(p), reduced.T @ rhs[:, bad])
+    coef = np.zeros((design.shape[1], rhs.shape[1]))
     coef[keep] = sol
-    resid = target - reduced @ sol
+    resid = np.ascontiguousarray((rhs - reduced @ sol).T)
     dof = max(design.shape[0] - rank, 1)
+    resid_std = np.sqrt(np.array([r @ r for r in resid]) / dof)
+    if target.ndim == 1:
+        coef, resid_std = coef[:, 0], float(resid_std[0])
     info = FitInfo(
         rank=int(rank),
         n_features=int(keep.sum()),
-        used_ridge=used_ridge,
-        resid_std=float(np.sqrt(resid @ resid / dof)),
+        used_ridge=bool(bad.any()),
+        resid_std=resid_std,
     )
     return coef, info
 
@@ -198,6 +221,133 @@ def _moved_state(problem: SwitchingProblem, b2: int, t: float, x: np.ndarray) ->
     return np.broadcast_to(out, x.shape)
 
 
+def _switch_costs(problem: SwitchingProblem, t: float) -> np.ndarray:
+    """Costs c(b, b2, t) as an n_modes x n_modes matrix with a +inf diagonal."""
+    labels = problem.modes.labels
+    return np.array(
+        [[np.inf if b2 == b else problem.costs(b, b2, t) for b2 in labels] for b in labels]
+    )
+
+
+def _level_values(problem, fm, t, dt, x, yv, A, coef, target_range, below, cost):
+    """The backward formula at one instant for a contiguous range of levels.
+
+    ``coef`` (n_modes, L, n_features) and ``target_range`` (n_modes, L, 2)
+    hold the continuation fits of levels k_lo..k_lo+L-1 at this instant,
+    ``A`` is the design at the states ``x`` (delayed states ``yv``) and
+    ``below`` is level k_lo-1's post-switch value per target mode at
+    these states, None when k_lo is 0.  ``cost`` is the instant's switch
+    cost matrix.  Returns (tab, moved), each (L, n_modes, n_rows): the
+    value per mode at ``x`` and the value per target mode at the
+    post-switch states; for identity resets they are the same array.
+    Each level's best intervention is computed once and serves both.
+    """
+    identity = problem.jump_maps.is_identity
+    levels = coef.shape[1]
+    tab = np.empty((levels, problem.modes.n_modes, x.shape[0]))
+    moved = tab if identity else np.empty_like(tab)
+
+    def fitted(design, b):
+        # One matrix-vector product per level, as in the level-by-level
+        # main pass: a matrix-matrix product rounds differently, and exact
+        # ties between same-instant switch chains (additive switch costs)
+        # would then break differently in the policy than in training.
+        lo, hi = target_range[b - 1].T
+        return np.clip(np.stack([design @ c for c in coef[b - 1]]), lo[:, None], hi[:, None])
+
+    for b in problem.modes.labels:
+        run = dt * np.asarray(problem.reward.running(t, x, b), dtype=float)
+        tab[:, b - 1] = run + fitted(A, b)
+        if not identity:
+            xm = _moved_state(problem, b, t, x)
+            run = dt * np.asarray(problem.reward.running(t, xm, b), dtype=float)
+            moved[:, b - 1] = run + fitted(fm.design(xm, yv), b)
+    # Continuation values are in place; each level now takes the larger
+    # of continuation and best intervention into the level below.
+    for lev in range(levels):
+        if below is not None:
+            best = (below[None] - cost[:, :, None]).max(axis=1)
+            np.maximum(tab[lev], best, out=tab[lev])
+            if not identity:
+                np.maximum(moved[lev], best, out=moved[lev])
+        below = moved[lev]
+    return tab, moved
+
+
+class _Step(NamedTuple):
+    """What the backward pass computed at one grid index, for all its levels."""
+
+    i: int
+    tab: np.ndarray  # (L, n_modes, n_rows) pre-switch values
+    moved: np.ndarray  # (L, n_modes, n_rows) post-switch values
+    coef: np.ndarray  # (n_modes, L, n_features)
+    target_range: np.ndarray  # (n_modes, L, 2)
+    A_pre: np.ndarray
+    fits: list  # (fit design, FitInfo) per mode
+    n_empty: int  # modes with no path in them, fitted on every path
+
+
+def _backward_pass(problem, grid, fm, ens, n_levels, below, cost, on_step=None) -> _Step:
+    """Fit ``n_levels`` consecutive budget levels in one time-major pass.
+
+    ``ens`` is (pre-switch states, post-switch states, fit rows per
+    (mode, step), terminal reward at the pre-switch horizon states).
+    From the horizon down, the regression targets of every level at step
+    i are the pre-switch values at step i+1, so each step builds its
+    designs once and makes one multi-column fit per mode.  ``below`` is
+    the post-switch table (n_steps, n_modes, n_rows) of the level under
+    the lowest one, None when the range starts at level 0; ``cost``
+    holds the switch cost matrix per step.  Only one step's tables are
+    alive at a time; ``on_step`` sees each step's record and the step-0
+    record is returned.
+    """
+    pre, post, fit_rows, g_pre = ens
+    spec = problem.dynamics
+    d = spec.delay_steps(grid)
+    pres = spec.presegment(grid)
+    n = grid.n_steps
+    m = problem.modes.n_modes
+    n_rows = pre.shape[0]
+    identity = problem.jump_maps.is_identity
+    nxt = np.broadcast_to(g_pre, (n_levels, m, n_rows))
+    for i in range(n - 1, -1, -1):
+        if d == 0:
+            y_del = None
+        elif i >= d:
+            y_del = post[:, i - d]
+        else:
+            y_del = np.broadcast_to(pres[i], (n_rows, spec.dim))
+        A_post = fm.design(post[:, i], y_del)
+        A_pre = A_post if identity else fm.design(pre[:, i], y_del)
+        coef = np.empty((m, n_levels, A_post.shape[1]))
+        target_range = np.empty((m, n_levels, 2))
+        fits = []
+        n_empty = 0
+        for b in problem.modes.labels:
+            rows = fit_rows[(b, i)]
+            if rows.size:
+                F = A_post[rows]
+                target = nxt[:, b - 1, rows].T
+            else:
+                F = A_post
+                target = nxt[:, b - 1].T
+                n_empty += 1
+            c, info = _fit(F, target)
+            coef[b - 1] = c.T
+            target_range[b - 1, :, 0] = target.min(axis=0)
+            target_range[b - 1, :, 1] = target.max(axis=0)
+            fits.append((F, info))
+        tab, moved = _level_values(
+            problem, fm, grid.times[i], grid.step, pre[:, i], y_del, A_pre, coef, target_range,
+            None if below is None else below[i], cost[i],
+        )
+        step = _Step(i, tab, moved, coef, target_range, A_pre, fits, n_empty)
+        if on_step is not None:
+            on_step(step)
+        nxt = tab
+    return step
+
+
 @dataclass
 class SolveDiagnostics:
     k_levels: int = 0
@@ -218,12 +368,17 @@ class SolveDiagnostics:
 class ValueSurface:
     """Fitted value family, one continuation regression per (k, b, i).
 
-    The value itself is not a stored regression but the backward formula
+    ``coef`` stacks the continuation coefficients as (n_steps, n_modes,
+    k_levels + 1, n_features) and ``target_range`` the empirical ranges
+    of their regression targets as (n_steps, n_modes, k_levels + 1, 2);
+    ``switch_cost`` is the cost matrix per step (+inf diagonal).  The
+    value itself is not a stored regression but the backward formula
     replayed on top of the continuation fits: the larger of continuation
     and best intervention, where interventions read the level-(k-1)
-    values of the target modes at the post-switch states.  ``value_at``
-    and the policy both evaluate that formula, so decisions reproduce
-    exactly what the training pass compared.
+    values of the target modes at the post-switch states.  Training,
+    ``value_at`` and the policy all evaluate that formula through the
+    same function, so decisions reproduce what the training pass
+    compared.
     """
 
     problem: SwitchingProblem
@@ -235,8 +390,9 @@ class ValueSurface:
     train_seed: int
     quantization: Optional[int]
     explore_prob: float
-    cont_coef: dict
-    cont_range: dict
+    coef: np.ndarray
+    target_range: np.ndarray
+    switch_cost: np.ndarray
     root_value: dict
     root_se: dict
     diagnostics: SolveDiagnostics
@@ -255,58 +411,15 @@ class ValueSurface:
         monotonized, never the surfaces decisions compare, since a
         running max would bias the intervention side upward.
         """
-        problem = self.problem
-        grid = self.grid
-        if not 0 <= i < grid.n_steps:
+        if not 0 <= i < self.grid.n_steps:
             raise ValueError("value tables live on interior grid indices")
-        k_top = self.k_levels if k_hi is None else k_hi
-        modes = problem.modes
-        m = modes.n_modes
-        t = grid.times[i]
-        dt = grid.step
+        levels = (self.k_levels if k_hi is None else k_hi) + 1
         yv = y if self.use_delay else None
-        A = self.feature_map.design(x, yv)
-        n_rows = x.shape[0]
-        identity = problem.jump_maps.is_identity
-        run_pre = np.empty((m, n_rows))
-        for b in modes.labels:
-            run_pre[b - 1] = dt * np.asarray(problem.reward.running(t, x, b), dtype=float)
-        if not identity:
-            moved_design = {}
-            run_moved = {}
-            for b2 in modes.labels:
-                xm = _moved_state(problem, b2, t, x)
-                moved_design[b2] = self.feature_map.design(xm, yv)
-                run_moved[b2] = dt * np.asarray(problem.reward.running(t, xm, b2), dtype=float)
-        tab = np.empty((k_top + 1, m, n_rows))
-        tabm = tab if identity else np.empty_like(tab)
-        for k in range(k_top + 1):
-            for b in modes.labels:
-                lo, hi = self.cont_range[(k, b, i)]
-                c = run_pre[b - 1] + np.clip(A @ self.cont_coef[(k, b, i)], lo, hi)
-                if k == 0:
-                    tab[k, b - 1] = c
-                else:
-                    best = np.full(n_rows, -np.inf)
-                    for b2 in modes.others(b):
-                        np.maximum(best, tabm[k - 1, b2 - 1] - problem.costs(b, b2, t), out=best)
-                    tab[k, b - 1] = np.maximum(c, best)
-            if not identity:
-                for b2 in modes.labels:
-                    lo, hi = self.cont_range[(k, b2, i)]
-                    cm = run_moved[b2] + np.clip(
-                        moved_design[b2] @ self.cont_coef[(k, b2, i)], lo, hi
-                    )
-                    if k == 0:
-                        tabm[k, b2 - 1] = cm
-                    else:
-                        best = np.full(n_rows, -np.inf)
-                        for b3 in modes.others(b2):
-                            np.maximum(
-                                best, tabm[k - 1, b3 - 1] - problem.costs(b2, b3, t), out=best
-                            )
-                        tabm[k, b2 - 1] = np.maximum(cm, best)
-        return tab, tabm
+        return _level_values(
+            self.problem, self.feature_map, self.grid.times[i], self.grid.step, x, yv,
+            self.feature_map.design(x, yv), self.coef[i, :, :levels],
+            self.target_range[i, :, :levels], None, self.switch_cost[i],
+        )
 
     def value_at(self, k: int, b: int, i: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Fitted value of mode b with budget k at grid index i."""
@@ -319,11 +432,11 @@ class ValueSurface:
         """Value of staying in b across [t_i, t_{i+1}): running reward plus fit."""
         if i == self.grid.n_steps:
             return np.asarray(self.problem.reward.terminal(x), dtype=float)
-        lo, hi = self.cont_range[(k, b, i)]
+        lo, hi = self.target_range[i, b - 1, k]
         run = self.grid.step * np.asarray(
             self.problem.reward.running(self.grid.times[i], x, b), dtype=float
         )
-        return run + np.clip(self.design(x, y) @ self.cont_coef[(k, b, i)], lo, hi)
+        return run + np.clip(self.design(x, y) @ self.coef[i, b - 1, k], lo, hi)
 
     @property
     def y0(self) -> float:
@@ -349,10 +462,9 @@ def _randomized_ensemble(
     interior instants each path switches to a uniform other mode with
     probability ``explore_prob``.  Reset maps are applied, costs are not
     (the randomization samples states, it does not act).  Returns
-    pre-switch states, post-switch states, the mode driving each step,
-    the initial segment, and the delay in steps.  Per-path noise and
-    mode draws come from one spawned stream each, so results do not
-    depend on batching.
+    pre-switch states, post-switch states, the mode driving each step
+    and the delay in steps.  Per-path noise and mode draws come from one
+    spawned stream each, so results do not depend on batching.
     """
     spec = problem.dynamics
     modes = problem.modes
@@ -434,7 +546,7 @@ def _randomized_ensemble(
         x = x_new
         if not np.all(np.isfinite(x)) or np.linalg.norm(x, axis=1).max() > spec.state_bound:
             raise DivergedError(i + 1)
-    return pre, post, mode_of_step, pres, d
+    return pre, post, mode_of_step, d
 
 
 def solve(
@@ -472,6 +584,7 @@ def solve(
         raise ValueError("se_batches must be nonnegative")
     if not 0.0 <= explore_prob < 1.0:
         raise ValueError("explore_prob must lie in [0, 1)")
+    reject_history_reward(problem, "the regression solver")
     maps = problem.jump_maps
     if not (maps.is_identity or maps.target_only):
         raise ValueError(
@@ -485,152 +598,75 @@ def solve(
     if k_max is None:
         k_max = m + 2
     n = grid.n_steps
-    dt = grid.step
-    times = grid.times
-    identity = maps.is_identity
 
-    pre, post, mode_of_step, pres, d = _randomized_ensemble(
+    pre, post, mode_of_step, d = _randomized_ensemble(
         problem, grid, n_paths, seed, quantization, explore_prob
     )
     use_delay = d > 0
     P = n_paths
-    dim = problem.dynamics.dim
+    p = fm.n_features(problem.dynamics.dim, use_delay)
 
     fit_rows = {
         (b, i): np.flatnonzero(mode_of_step[:, i] == b) for b in labels for i in range(n)
     }
     g_pre = np.asarray(problem.reward.terminal(pre[:, n]), dtype=float)
-    if not identity:
-        g_moved = np.empty((m, P))
-        for b2 in labels:
-            g_moved[b2 - 1] = np.asarray(
-                problem.reward.terminal(_moved_state(problem, b2, times[n], pre[:, n])),
-                dtype=float,
-            )
+    ens_full = (pre, post, fit_rows, g_pre)
+    cost = np.stack([_switch_costs(problem, t) for t in grid.times[:n]])
 
     diag = SolveDiagnostics(k_max_requested=k_max)
-    cont_coef = {}
-    cont_range = {}
+    coef = np.zeros((n, m, k_max + 1, p))
+    target_range = np.zeros((n, m, k_max + 1, 2))
     root_value = {}
     root_se = {}
 
     probe_times = sorted({0, n // 4, n // 2, (3 * n) // 4} - {n})
     q = min(probe_paths, P)
 
-    def record_fit(info: FitInfo):
-        if info.rank_deficient:
-            diag.rank_deficient_fits += 1
-        if info.used_ridge:
-            diag.ridge_fits += 1
+    def main_level(k: int, below):
+        """Level k on the full ensemble; returns its post-switch table.
 
-    def run_level(k: int, moved_prev, ens, coef_store, range_store, record: bool):
-        """One backward pass at budget k; returns (post-switch tables, roots).
-
-        ``ens`` bundles the path arrays the pass runs on, so the same
-        recursion serves the full ensemble and the path-block reruns
-        behind the spread-based root standard error (those pass
-        ``record`` false and throwaway stores).  Regression targets stay
-        raw; root and probe values are recorded per level as fitted and
-        projected onto the nondecreasing-in-k cone once the budget loop
-        finishes, since that is a property of the quantity they
-        estimate.  Clamping the training targets instead would rectify
-        fit noise upward at every step and compound that bias through
-        the backward recursion.
+        Records the level's fits, root values and probe values with
+        their design-conditional standard errors.  Regression targets
+        stay raw; root and probe values are projected onto the
+        nondecreasing-in-k cone once the budget loop finishes, since that
+        is a property of the quantity they estimate.  Clamping the
+        training targets instead would rectify fit noise upward at every
+        step and compound that bias through the backward recursion.
         """
-        pre_e, post_e, rows_e, g_pre_e, g_moved_e = ens
-        n_rows = pre_e.shape[0]
-        tab = np.empty((n + 1, m, n_rows))
-        tab[n] = g_pre_e
-        if identity:
-            moved = tab
-        else:
-            moved = np.empty_like(tab)
-            moved[n] = g_moved_e
-        probe_se_parts = {}
-        for i in range(n - 1, -1, -1):
-            t = times[i]
-            if not use_delay:
-                y_del = None
-            elif i >= d:
-                y_del = post_e[:, i - d]
-            else:
-                y_del = np.broadcast_to(pres[i], (n_rows, dim))
-            A_post = fm.design(post_e[:, i], y_del)
-            A_pre = A_post if identity else fm.design(pre_e[:, i], y_del)
-            fit_design = {}
-            fit_rstd = {}
-            for b in labels:
-                rows = rows_e[(b, i)]
-                target_all = tab[i + 1, b - 1]
-                if rows.size:
-                    F = A_post[rows]
-                    target = target_all[rows]
-                else:
-                    F = A_post
-                    target = target_all
-                    if record:
-                        diag.empty_subset_fits += 1
-                coef, info = _fit(F, target)
-                if record:
-                    record_fit(info)
-                coef_store[(k, b, i)] = coef
-                range_store[(k, b, i)] = (float(target.min()), float(target.max()))
-                fit_design[b] = F
-                fit_rstd[b] = info.resid_std
-            cont_pre = np.empty((m, n_rows))
-            for b in labels:
-                lo, hi = range_store[(k, b, i)]
-                run = dt * np.asarray(problem.reward.running(t, pre_e[:, i], b), dtype=float)
-                cont_pre[b - 1] = run + np.clip(A_pre @ coef_store[(k, b, i)], lo, hi)
-            if not identity:
-                cont_moved = np.empty((m, n_rows))
-                for b2 in labels:
-                    xm = _moved_state(problem, b2, t, pre_e[:, i])
-                    Am = fm.design(xm, y_del)
-                    lo, hi = range_store[(k, b2, i)]
-                    run = dt * np.asarray(problem.reward.running(t, xm, b2), dtype=float)
-                    cont_moved[b2 - 1] = run + np.clip(Am @ coef_store[(k, b2, i)], lo, hi)
-            if k == 0:
-                tab[i] = cont_pre
-                if not identity:
-                    moved[i] = cont_moved
-            else:
-                for b in labels:
-                    best = np.full(n_rows, -np.inf)
-                    for b2 in modes.others(b):
-                        np.maximum(
-                            best, moved_prev[i, b2 - 1] - problem.costs(b, b2, t), out=best
-                        )
-                    tab[i, b - 1] = np.maximum(cont_pre[b - 1], best)
-                if not identity:
-                    for b2 in labels:
-                        best = np.full(n_rows, -np.inf)
-                        for b3 in modes.others(b2):
-                            np.maximum(
-                                best, moved_prev[i, b3 - 1] - problem.costs(b2, b3, t), out=best
-                            )
-                        moved[i, b2 - 1] = np.maximum(cont_moved[b2 - 1], best)
-            if record and i in probe_times:
-                for b in labels:
-                    probe_se_parts[(b, i)] = _prediction_se(fit_design[b], fit_rstd[b], A_pre[:q])
-        roots = {b: float(tab[0, b - 1, 0]) for b in labels}
-        if record:
-            for b in labels:
-                root_value[(k, b)] = roots[b]
-                root_se[(k, b)] = float(
-                    _prediction_se(fit_design[b], fit_rstd[b], A_pre[:1])[0]
-                )
-            vals = np.concatenate([tab[i, b - 1, :q] for b in labels for i in probe_times])
-            ses = np.concatenate([probe_se_parts[(b, i)] for b in labels for i in probe_times])
-            diag.probe_values[k] = vals
-            diag.probe_se[k] = ses
-        return moved, roots
+        moved_k = np.empty((n, m, P))
+        probe_vals = {}
+        probe_ses = {}
 
-    ens_full = (pre, post, fit_rows, g_pre, None if identity else g_moved)
-    moved_prev, _ = run_level(0, None, ens_full, cont_coef, cont_range, True)
+        def record(step: _Step):
+            i = step.i
+            moved_k[i] = step.moved[0]
+            coef[i, :, k] = step.coef[:, 0]
+            target_range[i, :, k] = step.target_range[:, 0]
+            diag.empty_subset_fits += step.n_empty
+            for b, (F, info) in zip(labels, step.fits):
+                if info.rank_deficient:
+                    diag.rank_deficient_fits += 1
+                if info.used_ridge:
+                    diag.ridge_fits += 1
+                if i in probe_times:
+                    probe_vals[(b, i)] = step.tab[0, b - 1, :q]
+                    probe_ses[(b, i)] = _prediction_se(F, info.resid_std[0], step.A_pre[:q])
+
+        first = _backward_pass(problem, grid, fm, ens_full, 1, below, cost, record)
+        for b, (F, info) in zip(labels, first.fits):
+            root_value[(k, b)] = float(first.tab[0, b - 1, 0])
+            root_se[(k, b)] = float(_prediction_se(F, info.resid_std[0], first.A_pre[:1])[0])
+        keys = [(b, i) for b in labels for i in probe_times]
+        diag.probe_values[k] = np.concatenate([probe_vals[key] for key in keys])
+        diag.probe_se[k] = np.concatenate([probe_ses[key] for key in keys])
+        return moved_k
+
+    # The main pass runs level by level: it is the stopping search, and
+    # no level above the stopping one gets fitted.
+    moved_prev = main_level(0, None)
     k_final = 0
     for k in range(1, k_max + 1):
-        moved_prev, _ = run_level(k, moved_prev, ens_full, cont_coef, cont_range, True)
+        moved_prev = main_level(k, moved_prev)
         root_gap = max(abs(root_value[(k, b)] - root_value[(k - 1, b)]) for b in labels)
         probe_diff = np.abs(diag.probe_values[k] - diag.probe_values[k - 1])
         probe_gap = float(np.max(probe_diff))
@@ -673,6 +709,8 @@ def solve(
     # sampling error of the whole recursion.  Rerunning the pass on
     # independent path blocks and reading the spread of their roots
     # captures that propagated noise; the design SE stays as a floor.
+    # The stopping level is known by now, so each block fits all its
+    # levels in one time-major pass.
     n_blocks = min(se_batches, P // 2)
     if n_blocks >= 2:
         edges = np.linspace(0, P, n_blocks + 1).astype(int)
@@ -684,21 +722,10 @@ def solve(
                 for b in labels
                 for i in range(n)
             }
-            ens_blk = (
-                pre[rows_blk],
-                post[rows_blk],
-                rows_map,
-                g_pre[rows_blk],
-                None if identity else g_moved[:, rows_blk],
-            )
-            moved_blk = None
-            seq = {b: [] for b in labels}
-            for k in range(k_final + 1):
-                moved_blk, roots_blk = run_level(k, moved_blk, ens_blk, {}, {}, False)
-                for b in labels:
-                    seq[b].append(roots_blk[b])
+            ens_blk = (pre[rows_blk], post[rows_blk], rows_map, g_pre[rows_blk])
+            first = _backward_pass(problem, grid, fm, ens_blk, k_final + 1, None, cost)
             for b in labels:
-                fitted = _isotonic(np.asarray(seq[b]))
+                fitted = _isotonic(first.tab[:, b - 1, 0])
                 for k in range(k_final + 1):
                     block_roots[(k, b)].append(float(fitted[k]))
         for key, vals_blk in block_roots.items():
@@ -706,6 +733,12 @@ def solve(
             root_se[key] = max(root_se[key], spread)
     diag.root_values = {f"{k},{b}": val for (k, b), val in root_value.items()}
     diag.root_se = {f"{k},{b}": val for (k, b), val in root_se.items()}
+    if diag.empty_subset_fits:
+        warnings.warn(
+            f"{diag.empty_subset_fits} regressions had no training path in their mode "
+            "and were fitted on every path instead",
+            RuntimeWarning,
+        )
     if not diag.converged and k_max >= 1:
         warnings.warn(
             f"value family not settled at k_max={k_max}: last gap {diag.final_gap:.3e}",
@@ -721,8 +754,9 @@ def solve(
         train_seed=seed,
         quantization=quantization,
         explore_prob=explore_prob,
-        cont_coef=cont_coef,
-        cont_range=cont_range,
+        coef=coef[:, :, : k_final + 1],
+        target_range=target_range[:, :, : k_final + 1],
+        switch_cost=cost,
         root_value=root_value,
         root_se=root_se,
         diagnostics=diag,
@@ -753,13 +787,11 @@ class Policy:
         out = np.zeros(x.shape[0], dtype=np.int64)
         if i >= n or self.k < 1:
             return out
-        problem = surf.problem
-        t = surf.grid.times[i]
         cont = surf.continuation_at(self.k, b, i, x, y)
         _, moved = surf._tab_eval(i, x, y, k_hi=self.k - 1)
         best = np.full(x.shape[0], -np.inf)
-        for b2 in problem.modes.others(b):
-            cand = moved[self.k - 1, b2 - 1] - problem.costs(b, b2, t)
+        for b2 in surf.problem.modes.others(b):
+            cand = moved[self.k - 1, b2 - 1] - surf.switch_cost[i, b - 1, b2 - 1]
             better = cand > best
             out = np.where(better, b2, out)
             best = np.where(better, cand, best)
@@ -813,7 +845,9 @@ def certify(
     The certified value is an expected-reward estimate of the adapted
     control the policy induces, so it lower-bounds the true value up to
     Monte Carlo error; ``gap`` is (surface root value) - (certified
-    value).  The seed must differ from the training seed.
+    value).  The seed must differ from the training seed.  A state that
+    turns non-finite or leaves ``state_bound`` raises DivergedError with
+    the step index, as the simulator does.
     """
     surface = policy.surface
     if seed == surface.train_seed:
@@ -821,6 +855,7 @@ def certify(
     if workers < 1:
         raise ValueError("workers must be at least 1")
     problem = surface.problem
+    reject_history_reward(problem, "certification")
     grid = surface.grid
     spec = problem.dynamics
     modes = problem.modes
@@ -908,6 +943,8 @@ def certify(
                 spec, dt, t, x[sel], y[sel], int(b), dw[sel, i], counts_row
             )
         x = x_new
+        if not np.all(np.isfinite(x)) or np.linalg.norm(x, axis=1).max() > spec.state_bound:
+            raise DivergedError(i + 1)
 
     j = run_acc + np.asarray(problem.reward.terminal(buffer[:, n]), dtype=float) - cost_acc
     lower = float(j.mean())
@@ -939,11 +976,13 @@ def certify(
 
 def surface_to_csv(surface: ValueSurface, fileobj: io.TextIOBase) -> None:
     """Write continuation-regression coefficients as CSV rows (k, b, i, c_0..)."""
-    p = next(iter(surface.cont_coef.values())).shape[0]
+    n, m, levels, p = surface.coef.shape
     fileobj.write("k,b,i," + ",".join(f"c_{j}" for j in range(p)) + "\n")
-    for (k, b, i) in sorted(surface.cont_coef):
-        coef = surface.cont_coef[(k, b, i)]
-        fileobj.write(f"{k},{b},{i}," + ",".join(repr(c) for c in coef) + "\n")
+    for k in range(levels):
+        for b in range(m):
+            for i in range(n):
+                coef = surface.coef[i, b, k]
+                fileobj.write(f"{k},{b + 1},{i}," + ",".join(repr(float(c)) for c in coef) + "\n")
 
 
 def diagnostics_to_json(diag: SolveDiagnostics) -> str:

@@ -1,5 +1,7 @@
 """Regression solver: feature maps, fitting, budget iteration, policy, certification."""
 
+import dataclasses
+import hashlib
 import io
 import json
 import warnings
@@ -10,7 +12,9 @@ import pytest
 from conftest import delay_instance, jumps_instance
 from switchmc.controls import JumpMapFamily, SwitchingProblem
 from switchmc.families import pure_cost_problem, two_mode_flow_problem
+from switchmc.hydro import HydroParams, build_hydro_problem
 from switchmc.oracle import build_lattice, exact_dp
+from switchmc.sdde import DivergedError
 from switchmc.solver import (
     FeatureMap,
     certify,
@@ -35,6 +39,14 @@ def test_feature_map_design_shapes():
     fm3 = FeatureMap(degree=3, cross_terms=False)
     c = fm3.design(x)
     assert c.shape == (40, fm3.n_features(2, use_delay=False))
+    # Column by column, the columns are the same numbers bit for bit.
+    for fmap in (fm, fm3, FeatureMap(degree=3)):
+        v = np.concatenate([x, y], axis=1)
+        cols = [np.ones(40)] + [v[:, j] for j in range(4)]
+        cols += [v[:, j] ** deg for deg in range(2, fmap.degree + 1) for j in range(4)]
+        if fmap.cross_terms:
+            cols += [v[:, j] * v[:, l] for j in range(4) for l in range(j + 1, 4)]
+        assert np.array_equal(fmap.design(x, y), np.column_stack(cols))
 
 
 def test_fit_recovers_linear_model_and_prunes_constants():
@@ -46,6 +58,66 @@ def test_fit_recovers_linear_model_and_prunes_constants():
     assert coef[2] == 0.0
     assert np.allclose(design @ coef, target, atol=1e-10)
     assert info.resid_std < 1e-10
+
+
+@pytest.mark.parametrize("rows", [200, 9])
+def test_fit_two_dimensional_target_matches_column_fits(rows):
+    # 9 rows against 11 features is the shape of a standard-error block fit.
+    rng = np.random.default_rng(3)
+    design = np.column_stack([np.ones(rows), rng.normal(size=(rows, 9)), np.full(rows, 0.4)])
+    target = rng.normal(size=(rows, 5)) + design[:, 1:2]
+    coef, info = _fit(design, target)
+    assert coef.shape == (11, 5) and info.resid_std.shape == (5,)
+    for j in range(5):
+        coef_j, info_j = _fit(design, target[:, j])
+        assert np.allclose(coef[:, j], coef_j, rtol=0.0, atol=1e-12)
+        assert abs(info.resid_std[j] - info_j.resid_std) <= 1e-12
+        assert (info.rank, info.n_features, info.used_ridge) == (
+            info_j.rank, info_j.n_features, info_j.used_ridge
+        )
+    assert np.all(coef[10] == 0.0)
+
+
+# Values recorded with the level-by-level solver that the one-kernel
+# pass replaced.  The coefficients are pinned through the CSV's digest.
+PINNED = {
+    "hydro": dict(
+        y0=2.983783819612753, y0_se=0.03431010765284233, lower_bound=1.1177012161567832,
+        k_levels=8, converged=False,
+        histogram={6: 2, 7: 4, 8: 23, 9: 29, 10: 41, 11: 23, 12: 2, 13: 1, 14: 35, 15: 111,
+                   16: 330, 17: 304, 18: 73, 19: 17, 20: 5},
+        csv_sha256="4b843235d5e9ed5fa13683ef703b5970ae0898596ed03a31ffb8bd69026f9372",
+    ),
+    "flow": dict(
+        y0=0.7, y0_se=7.799805020102231e-17, lower_bound=0.6999999999999998,
+        k_levels=2, converged=True, histogram={1: 2000},
+        csv_sha256="0667cf9dac5ee05c547228c012f15c5ffcd7508be7417eb614556ab45490e051",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_solve_and_certify(name):
+    if name == "hydro":
+        problem, grid = build_hydro_problem(HydroParams(n_steps=8))
+        fm, n_paths, seed, certify_paths = FeatureMap(cross_terms=False), 300, 3, 1000
+    else:
+        problem, grid = two_mode_flow_problem(n_steps=8)
+        fm, n_paths, seed, certify_paths = None, 2000, 0, 2000
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        surf = solve(problem, grid, feature_map=fm, n_paths=n_paths, seed=seed)
+    report = certify(extract_policy(surf), n_paths=certify_paths, seed=seed + 1)
+    buf = io.StringIO()
+    surface_to_csv(surf, buf)
+    pin = PINNED[name]
+    assert surf.y0 == pytest.approx(pin["y0"], rel=1e-9, abs=0.0)
+    assert surf.y0_se == pytest.approx(pin["y0_se"], rel=1e-9, abs=1e-15)
+    assert report.lower_bound == pytest.approx(pin["lower_bound"], rel=1e-9, abs=0.0)
+    assert surf.k_levels == pin["k_levels"]
+    assert surf.diagnostics.converged == pin["converged"]
+    assert report.switch_histogram == pin["histogram"]
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == pin["csv_sha256"]
 
 
 def test_two_mode_deterministic_exact():
@@ -146,6 +218,41 @@ def test_certify_guards():
         certify(policy, n_paths=400, seed=9)
     with pytest.raises(ValueError):
         certify(policy, n_paths=400, seed=10, workers=0)
+
+
+def test_certify_raises_when_the_state_diverges():
+    problem, grid = two_mode_flow_problem(n_steps=4)
+    surf = solve(problem, grid, n_paths=400, seed=9)
+    exploding = dataclasses.replace(
+        problem.dynamics, drift=lambda t, x, y, mode: np.full_like(x, 1e13)
+    )
+    surf = dataclasses.replace(surf, problem=dataclasses.replace(problem, dynamics=exploding))
+    with pytest.raises(DivergedError) as err:
+        certify(extract_policy(surf), n_paths=50, seed=10)
+    assert err.value.step == 1
+
+
+def test_empty_mode_subset_warns_with_its_count():
+    problem, grid = pure_cost_problem(n_modes=6)
+    with pytest.warns(RuntimeWarning, match="regressions had no training path") as caught:
+        surf = solve(problem, grid, n_paths=4, seed=0, k_max=1)
+    count = surf.diagnostics.empty_subset_fits
+    assert count > 0
+    assert any(str(w.message).startswith(f"{count} regressions") for w in caught)
+
+
+def test_history_reward_rejected_where_ignored():
+    base, grid = two_mode_flow_problem(n_steps=4)
+    problem = dataclasses.replace(
+        base, history_reward=lambda times, modes, states: np.zeros(states.shape[0])
+    )
+    with pytest.raises(ValueError, match="history_reward"):
+        solve(problem, grid, n_paths=100)
+    surf = dataclasses.replace(solve(base, grid, n_paths=100, seed=0), problem=problem)
+    with pytest.raises(ValueError, match="history_reward"):
+        certify(extract_policy(surf), n_paths=100, seed=1)
+    with pytest.raises(ValueError, match="history_reward"):
+        exact_dp(build_lattice(problem, grid, branching=2), k_max=2)
 
 
 def test_extract_policy_needs_mode_count_budget():
