@@ -11,8 +11,7 @@ Subcommands:
 
 Every command takes an explicit --seed (there is no wall-clock default),
 writes only into --out, and produces byte-identical artifacts for
-identical arguments.  --workers partitions path batches; per-path seeds
-are spawned from the root seed, so results do not depend on it.
+identical arguments.
 
 Exit codes: 0 success, 1 failed run or failed check, 2 bad usage or bad
 configuration.
@@ -185,7 +184,6 @@ def cmd_solve(args) -> int:
         seed=args.seed,
         quantization=s.quantization,
         probe_paths=s.probe_paths,
-        workers=args.workers,
         explore_prob=s.explore_prob,
     )
     out = _ensure_out(args.out)
@@ -226,7 +224,6 @@ def cmd_compare_oracle(args) -> int:
         seed=args.seed,
         quantization=args.branching,
         probe_paths=s.probe_paths,
-        workers=args.workers,
         explore_prob=s.explore_prob,
     )
     instance = build_lattice(problem, grid, branching=args.branching)
@@ -292,11 +289,10 @@ def cmd_hydro_demo(args) -> int:
         n_paths=settings.n_paths,
         seed=args.seed,
         probe_paths=settings.probe_paths,
-        workers=args.workers,
         explore_prob=settings.explore_prob,
     )
     policy = extract_policy(surface)
-    report = certify(policy, n_paths=args.certify_paths, seed=args.seed + 1, workers=args.workers)
+    report = certify(policy, n_paths=args.certify_paths, seed=args.seed + 1)
 
     dw, counts = sample_noise_batch(problem.dynamics, grid, args.seed + 2, 1)
     states, path_modes = simulate_batch(
@@ -392,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", default=None, help="JSON config file (optional)")
         p.add_argument("--seed", type=int, required=True, help="root random seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--workers", type=int, default=1, help="path-batch partitions")
 
     p = sub.add_parser("validate", help="structural checks on a configured instance")
     common(p)

@@ -128,7 +128,6 @@ class JumpMapFamily:
 
     apply: Callable
     state_bound: float = 0.0
-    time_lipschitz: float = 0.0
     reduction_length: int = 2
     is_identity: bool = False
     target_only: bool = False
@@ -145,16 +144,14 @@ class JumpMapFamily:
 
 @dataclass(frozen=True)
 class RewardSpec:
-    """Running and terminal rewards with a declared polynomial growth bound.
+    """Running and terminal rewards.
 
     ``running(t, x, mode) -> (n,)`` and ``terminal(x) -> (n,)`` on batched
-    states; |f| + |g| <= growth_constant * (1 + |x|^growth_exponent).
+    states.
     """
 
     running: Callable
     terminal: Callable
-    growth_exponent: float = 2.0
-    growth_constant: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -228,18 +225,26 @@ def validate_no_free_loop(
     traversal orders) and every nondecreasing assignment of times from
     ``time_samples`` to its legs, including the closing leg.  Returns the
     minimum total found; a witness below the floor fails the report.
+    Each cost c(b, b2, t) is read once, through ``costs`` so that a
+    negative one still raises.
     """
     if mode_set.n_modes > 8:
         raise ValueError("exhaustive loop check supports at most 8 modes")
     ts = sorted(set(float(t) for t in time_samples))
     if not ts:
         raise ValueError("need at least one time sample")
+    table = {
+        (bf, bt, t): costs(bf, bt, t)
+        for bf in mode_set.labels
+        for bt in mode_set.others(bf)
+        for t in ts
+    }
     best = None
     for length in range(2, mode_set.n_modes + 1):
         for cycle in itertools.permutations(mode_set.labels, length):
             legs = [(cycle[i], cycle[(i + 1) % length]) for i in range(length)]
             for assignment in itertools.combinations_with_replacement(ts, length):
-                total = sum(costs(bf, bt, t) for (bf, bt), t in zip(legs, assignment))
+                total = sum(table[bf, bt, t] for (bf, bt), t in zip(legs, assignment))
                 if best is None or total < best[0]:
                     best = (total, cycle, assignment)
     total, cycle, assignment = best

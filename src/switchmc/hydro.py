@@ -212,12 +212,7 @@ def build_hydro_problem(params: HydroParams):
     def terminal(x):
         return p.w1 * x[:, 2] + p.w2 * x[:, 3]
 
-    reward = RewardSpec(
-        running=running,
-        terminal=terminal,
-        growth_exponent=2.0,
-        growth_constant=(p.kappa1 * p.p1_unit + p.kappa2 * p.p2_unit + p.w1 + p.w2 + 1.0),
-    )
+    reward = RewardSpec(running=running, terminal=terminal)
 
     problem = SwitchingProblem(
         dynamics=spec, modes=modes, costs=costs, jump_maps=jump_maps, reward=reward

@@ -20,8 +20,8 @@ for the drift and jump coefficient and ``(n_paths, dim, brownian_dim)`` for
 the diffusion.
 
 Per-path random streams are spawned from the root seed with
-``numpy.random.SeedSequence``, so a batch partitioned across workers
-reproduces the single-worker result path by path.
+``numpy.random.SeedSequence``, so a batch split into parts reproduces
+the whole batch path by path.
 """
 
 from __future__ import annotations
@@ -211,14 +211,6 @@ class NoiseDraw:
     brownian: np.ndarray
     jump_counts: np.ndarray
     seed: int
-
-    def marks_at(self, step: int) -> list:
-        """Mark indices arriving in the given step, with multiplicity."""
-        row = self.jump_counts[step]
-        out = []
-        for k, c in enumerate(row):
-            out.extend([k] * int(c))
-        return out
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,10 @@ level is known, the standard-error block reruns fit all their levels in
 a single pass each.  ``ValueSurface`` stores the coefficients stacked per
 (step, mode) and evaluates value tables for the policy through the same
 ``_level_values``, so decisions compare exactly what training compared.
+A decision builds the design at its states once, reads the level-k
+continuation from it, and asks only for the post-switch table of the
+levels below; with target-only resets the pre-switch table, which no
+decision reads, is never computed.
 
 Certification resimulates the extracted policy on a fresh seed and
 reports the gap between the root value and the realized reward.
@@ -241,11 +245,15 @@ def _level_values(problem, fm, t, dt, x, yv, A, coef, target_range, below, cost)
     value per mode at ``x`` and the value per target mode at the
     post-switch states; for identity resets they are the same array.
     Each level's best intervention is computed once and serves both.
+    With target-only resets, ``A=None`` skips the pre-switch side: no
+    level of ``moved`` reads it, and ``tab`` comes back as None.
     """
     identity = problem.jump_maps.is_identity
     levels = coef.shape[1]
-    tab = np.empty((levels, problem.modes.n_modes, x.shape[0]))
-    moved = tab if identity else np.empty_like(tab)
+    shape = (levels, problem.modes.n_modes, x.shape[0])
+    tab = None if A is None else np.empty(shape)
+    moved = tab if identity else np.empty(shape)
+    sides = [moved] if tab is None or identity else [tab, moved]
 
     def fitted(design, b):
         # One matrix-vector product per level, as in the level-by-level
@@ -256,8 +264,9 @@ def _level_values(problem, fm, t, dt, x, yv, A, coef, target_range, below, cost)
         return np.clip(np.stack([design @ c for c in coef[b - 1]]), lo[:, None], hi[:, None])
 
     for b in problem.modes.labels:
-        run = dt * np.asarray(problem.reward.running(t, x, b), dtype=float)
-        tab[:, b - 1] = run + fitted(A, b)
+        if tab is not None:
+            run = dt * np.asarray(problem.reward.running(t, x, b), dtype=float)
+            tab[:, b - 1] = run + fitted(A, b)
         if not identity:
             xm = _moved_state(problem, b, t, x)
             run = dt * np.asarray(problem.reward.running(t, xm, b), dtype=float)
@@ -267,9 +276,8 @@ def _level_values(problem, fm, t, dt, x, yv, A, coef, target_range, below, cost)
     for lev in range(levels):
         if below is not None:
             best = (below[None] - cost[:, :, None]).max(axis=1)
-            np.maximum(tab[lev], best, out=tab[lev])
-            if not identity:
-                np.maximum(moved[lev], best, out=moved[lev])
+            for side in sides:
+                np.maximum(side[lev], best, out=side[lev])
         below = moved[lev]
     return tab, moved
 
@@ -400,7 +408,10 @@ class ValueSurface:
     def design(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.feature_map.design(x, y if self.use_delay else None)
 
-    def _tab_eval(self, i: int, x: np.ndarray, y: np.ndarray, k_hi: Optional[int] = None):
+    def _tab_eval(
+        self, i: int, x: np.ndarray, y: np.ndarray, k_hi: Optional[int] = None,
+        A: Optional[np.ndarray] = None,
+    ):
         """Value tables at interior index i for budgets 0..k_hi.
 
         Returns (tab, moved), each of shape (k_hi + 1, n_modes, n_rows):
@@ -410,15 +421,24 @@ class ValueSurface:
         per-budget fits; only reported root and probe values are
         monotonized, never the surfaces decisions compare, since a
         running max would bias the intervention side upward.
+
+        The policy passes the design ``A`` it built at ``x`` and reads
+        only ``moved``.  With target-only resets the pre-switch side is
+        then not computed at all and ``tab`` comes back as None; with
+        identity resets the one table is built from ``A``.
         """
         if not 0 <= i < self.grid.n_steps:
             raise ValueError("value tables live on interior grid indices")
         levels = (self.k_levels if k_hi is None else k_hi) + 1
         yv = y if self.use_delay else None
+        if A is None:
+            A = self.feature_map.design(x, yv)
+        elif not self.problem.jump_maps.is_identity:
+            A = None
         return _level_values(
             self.problem, self.feature_map, self.grid.times[i], self.grid.step, x, yv,
-            self.feature_map.design(x, yv), self.coef[i, :, :levels],
-            self.target_range[i, :, :levels], None, self.switch_cost[i],
+            A, self.coef[i, :, :levels], self.target_range[i, :, :levels], None,
+            self.switch_cost[i],
         )
 
     def value_at(self, k: int, b: int, i: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -432,11 +452,14 @@ class ValueSurface:
         """Value of staying in b across [t_i, t_{i+1}): running reward plus fit."""
         if i == self.grid.n_steps:
             return np.asarray(self.problem.reward.terminal(x), dtype=float)
+        return self._continuation(k, b, i, x, self.design(x, y))
+
+    def _continuation(self, k: int, b: int, i: int, x: np.ndarray, A: np.ndarray) -> np.ndarray:
         lo, hi = self.target_range[i, b - 1, k]
         run = self.grid.step * np.asarray(
             self.problem.reward.running(self.grid.times[i], x, b), dtype=float
         )
-        return run + np.clip(self.design(x, y) @ self.coef[i, b - 1, k], lo, hi)
+        return run + np.clip(A @ self.coef[i, b - 1, k], lo, hi)
 
     @property
     def y0(self) -> float:
@@ -558,7 +581,6 @@ def solve(
     seed: int = 0,
     quantization: Optional[int] = None,
     probe_paths: int = 48,
-    workers: int = 1,
     explore_prob: float = 0.15,
     se_batches: int = 8,
 ) -> ValueSurface:
@@ -569,8 +591,7 @@ def solve(
     three paired standard errors) fall below 1e-3 * (1 + |root value|);
     otherwise runs to k_max and flags the surface as unconverged (with a
     warning carrying the last gap).  ``explore_prob`` is the per-instant
-    mode re-roll probability of the training ensemble; ``workers`` is
-    validated but the backward pass itself runs single-process.
+    mode re-roll probability of the training ensemble.
     ``se_batches`` controls the root standard error: the pass is rerun
     on that many independent path blocks and the spread of their root
     values is reported (values below 2 keep the cheaper and much too
@@ -578,8 +599,6 @@ def solve(
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     if se_batches < 0:
         raise ValueError("se_batches must be nonnegative")
     if not 0.0 <= explore_prob < 1.0:
@@ -787,8 +806,9 @@ class Policy:
         out = np.zeros(x.shape[0], dtype=np.int64)
         if i >= n or self.k < 1:
             return out
-        cont = surf.continuation_at(self.k, b, i, x, y)
-        _, moved = surf._tab_eval(i, x, y, k_hi=self.k - 1)
+        A = surf.design(x, y)
+        cont = surf._continuation(self.k, b, i, x, A)
+        _, moved = surf._tab_eval(i, x, y, k_hi=self.k - 1, A=A)
         best = np.full(x.shape[0], -np.inf)
         for b2 in surf.problem.modes.others(b):
             cand = moved[self.k - 1, b2 - 1] - surf.switch_cost[i, b - 1, b2 - 1]
@@ -838,7 +858,6 @@ def certify(
     n_paths: int,
     seed: int,
     quantization: Optional[int] = None,
-    workers: int = 1,
 ) -> CertifyReport:
     """Resimulate the policy pathwise on a fresh seed and report the gap.
 
@@ -848,12 +867,17 @@ def certify(
     value).  The seed must differ from the training seed.  A state that
     turns non-finite or leaves ``state_bound`` raises DivergedError with
     the step index, as the simulator does.
+
+    Switches at one instant are resolved in rounds, one decision per mode
+    per round, so that same-instant chains compose.  A mode whose rows and
+    states equal those of its previous decision at the instant (no path
+    left or entered it, or the ones that left came back unchanged) reuses
+    that decision's targets instead of deciding again: the call would see
+    the same batch and return the same targets.
     """
     surface = policy.surface
     if seed == surface.train_seed:
         raise ValueError("certification seed must differ from the training seed")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     problem = surface.problem
     reject_history_reward(problem, "certification")
     grid = surface.grid
@@ -883,13 +907,23 @@ def certify(
         else:
             y_dec = np.broadcast_to(pres[i], x.shape)
         if i < n:
+            # Per mode, the rows, states and targets of its last decision at
+            # this instant.  The delayed states stay fixed within the chain
+            # (or are ``x`` itself), so rows and states decide the call.
+            last = {}
             for _ in range(modes.n_modes - 1):
                 switched_any = False
                 for b in np.unique(mode):
                     sel = np.flatnonzero(mode == b)
                     if sel.size == 0:
                         continue
-                    targets = policy.decide_batch(i, int(b), x[sel], y_dec[sel])
+                    xs = x[sel]
+                    prev = last.get(b)
+                    if prev and np.array_equal(prev[0], sel) and np.array_equal(prev[1], xs):
+                        targets = prev[2]
+                    else:
+                        targets = policy.decide_batch(i, int(b), xs, y_dec[sel])
+                        last[b] = (sel, xs, targets)
                     hit = targets > 0
                     if not np.any(hit):
                         continue

@@ -1,5 +1,7 @@
 """Mode sets, controls, costs, structural validators and reward evaluation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from switchmc.controls import (
     SwitchingControl,
     SwitchingCostModel,
     SwitchingProblem,
+    ValidationReport,
     evaluate_reward,
     validate_control,
     validate_cycle_reduction,
@@ -80,6 +83,40 @@ def test_no_free_loop_detects_cheap_cycle():
     assert not rep2.ok
     assert rep2.margin == pytest.approx(0.02)
     assert set(rep2.witness[0]) == {1, 2}
+
+
+def test_no_free_loop_reads_each_cost_once():
+    rng = np.random.default_rng(4)
+    table = rng.uniform(0.1, 0.5, size=(4, 4))
+    calls = []
+
+    def cost(bf, bt, t):
+        calls.append((bf, bt, t))
+        return table[bf - 1, bt - 1] * (1.0 + 0.3 * t)
+
+    model = SwitchingCostModel(cost=cost, loop_floor=0.25)
+    modes = ModeSet(4)
+    ts = [0.0, 0.4, 1.0]
+    rep = validate_no_free_loop(model, modes, ts)
+    assert len(calls) <= 4 * 3 * len(ts)
+    # The enumeration that reads every leg's cost through the model anew.
+    best = None
+    for length in range(2, 5):
+        for cycle in itertools.permutations(modes.labels, length):
+            legs = [(cycle[i], cycle[(i + 1) % length]) for i in range(length)]
+            for assignment in itertools.combinations_with_replacement(ts, length):
+                total = sum(model(bf, bt, t) for (bf, bt), t in zip(legs, assignment))
+                if best is None or total < best[0]:
+                    best = (total, cycle, assignment)
+    assert rep == ValidationReport(
+        ok=best[0] >= 0.25 - 1e-12,
+        detail=f"minimum cycle cost {best[0]} over floor 0.25",
+        witness=(best[1], best[2]),
+        margin=best[0],
+    )
+    negative = SwitchingCostModel(cost=lambda bf, bt, t: -0.1 if bt == 4 else 0.2, loop_floor=0.2)
+    with pytest.raises(ValueError, match="negative switch cost"):
+        validate_no_free_loop(negative, modes, ts)
 
 
 def test_terminal_no_switch_validator():

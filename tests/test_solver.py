@@ -17,12 +17,15 @@ from switchmc.oracle import build_lattice, exact_dp
 from switchmc.sdde import DivergedError
 from switchmc.solver import (
     FeatureMap,
+    Policy,
+    ValueSurface,
     certify,
     diagnostics_to_json,
     extract_policy,
     solve,
     surface_to_csv,
     _fit,
+    _randomized_ensemble,
 )
 
 
@@ -190,8 +193,6 @@ def test_input_validation():
     with pytest.raises(ValueError):
         solve(problem, grid, n_paths=1)
     with pytest.raises(ValueError):
-        solve(problem, grid, workers=0)
-    with pytest.raises(ValueError):
         solve(problem, grid, explore_prob=1.0)
     with pytest.raises(ValueError):
         solve(problem, grid, explore_prob=-0.1)
@@ -216,8 +217,6 @@ def test_certify_guards():
     policy = extract_policy(surf)
     with pytest.raises(ValueError):
         certify(policy, n_paths=400, seed=9)
-    with pytest.raises(ValueError):
-        certify(policy, n_paths=400, seed=10, workers=0)
 
 
 def test_certify_raises_when_the_state_diverges():
@@ -294,11 +293,114 @@ def test_policy_decisions_batch_and_single():
     assert policy.decide(grid.n_steps, 1, np.zeros(1), np.zeros(1)) == 0
 
 
-def test_workers_argument_is_stable():
-    problem, grid = two_mode_flow_problem(n_steps=8)
-    a = solve(problem, grid, n_paths=400, seed=2, workers=1)
-    b = solve(problem, grid, n_paths=400, seed=2, workers=3)
-    assert a.y0 == b.y0
+def _full_table_decide(surf, i, b, x, y):
+    """The policy's decision from ``continuation_at`` and both value tables."""
+    k = surf.k_levels
+    cont = surf.continuation_at(k, b, i, x, y)
+    moved = surf._tab_eval(i, x, y, k_hi=k - 1)[1]
+    out = np.zeros(x.shape[0], dtype=np.int64)
+    best = np.full(x.shape[0], -np.inf)
+    for b2 in surf.problem.modes.others(b):
+        cand = moved[k - 1, b2 - 1] - surf.switch_cost[i, b - 1, b2 - 1]
+        better = cand > best
+        out = np.where(better, b2, out)
+        best = np.where(better, cand, best)
+    out[~(best > cont)] = 0
+    return out, cont, moved
+
+
+@pytest.mark.parametrize("name", ["hydro", "flow"])
+def test_policy_values_equal_the_full_table_formula(name, monkeypatch):
+    # Hydro has target-only resets, the flow instance identity resets.
+    if name == "hydro":
+        problem, grid = build_hydro_problem(HydroParams(n_steps=8))
+        fm = FeatureMap(cross_terms=False)
+    else:
+        problem, grid = two_mode_flow_problem(n_steps=8)
+        fm = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        surf = solve(problem, grid, feature_map=fm, n_paths=300, seed=3)
+    policy = extract_policy(surf)
+    pre, post, _, d = _randomized_ensemble(problem, grid, 300, 11, None, 0.15)
+    pres = problem.dynamics.presegment(grid)
+    seen = {}
+
+    def spy(key, fn):
+        def wrapped(*args, **kwargs):
+            seen[key] = fn(*args, **kwargs)
+            return seen[key]
+        return wrapped
+
+    monkeypatch.setattr(ValueSurface, "_tab_eval", spy("tables", ValueSurface._tab_eval))
+    monkeypatch.setattr(ValueSurface, "_continuation", spy("cont", ValueSurface._continuation))
+    rng = np.random.default_rng(5)
+    switched = 0
+    for i in range(0, grid.n_steps, 3):
+        for b in problem.modes.labels:
+            for size in (1, 37, 300):
+                rows = rng.choice(300, size=size, replace=False)
+                x = pre[rows, i]
+                if d == 0:
+                    y = x
+                elif i >= d:
+                    y = post[rows, i - d]
+                else:
+                    y = np.broadcast_to(pres[i], x.shape)
+                targets = policy.decide_batch(i, b, x, y)
+                cont, moved = seen["cont"], seen["tables"][1]
+                want_targets, want_cont, want_moved = _full_table_decide(surf, i, b, x, y)
+                assert np.array_equal(targets, want_targets)
+                assert np.array_equal(cont, want_cont)
+                assert np.array_equal(moved, want_moved)
+                switched += int(np.count_nonzero(targets))
+    assert switched > 0
+
+
+def test_certify_never_repeats_a_decision(monkeypatch):
+    problem, grid = build_hydro_problem(HydroParams(n_steps=8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        surf = solve(problem, grid, feature_map=FeatureMap(cross_terms=False), n_paths=300, seed=3)
+    decide = Policy.decide_batch
+    last = {}
+    calls = []
+
+    def spy(self, i, b, x, y):
+        # A call on the same states as that mode's previous call at this
+        # instant would return that call's targets again.
+        states = (x.tobytes(), np.ascontiguousarray(y).tobytes())
+        assert last.get((i, b)) != states
+        last[(i, b)] = states
+        calls.append((i, b))
+        return decide(self, i, b, x, y)
+
+    monkeypatch.setattr(Policy, "decide_batch", spy)
+    report = certify(extract_policy(surf), n_paths=1000, seed=4)
+    assert report.switch_histogram == PINNED["hydro"]["histogram"]
+    assert report.lower_bound == pytest.approx(PINNED["hydro"]["lower_bound"], rel=1e-9, abs=0.0)
+    assert len(calls) == 100
+
+
+def test_certify_decides_again_when_a_mode_gets_new_states():
+    # Resets add the target label, so a path that leaves mode 1 and comes
+    # back within the instant returns with a new state: 0 -> 2 -> 3.
+    problem, grid = pure_cost_problem(n_modes=4)
+    surf = solve(problem, grid, n_paths=100, seed=0)
+    shifting = JumpMapFamily(apply=lambda bf, bt, t, x: x + float(bt), target_only=True)
+    surf = dataclasses.replace(surf, problem=dataclasses.replace(problem, jump_maps=shifting))
+
+    class Scripted(Policy):
+        def decide_batch(self, i, b, x, y):
+            out = np.zeros(x.shape[0], dtype=np.int64)
+            if i == 0 and b == 1:
+                out[x[:, 0] < 1.0] = 2
+            elif i == 0 and b == 2:
+                out[:] = 1
+            return out
+
+    report = certify(Scripted(surface=surf), n_paths=50, seed=1)
+    assert report.switch_histogram == {2: 50}
 
 
 def test_surface_csv_and_diagnostics_json():
