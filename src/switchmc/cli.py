@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, SolverSettings, load_config
+from .config import ConfigError, SolverSettings, load_config
 from .controls import (
     SwitchingControl,
     validate_control,
@@ -79,19 +79,24 @@ def _probe_states(problem, grid, seed: int, n_paths: int = 16, cap: int = 256) -
     return flat[::stride]
 
 
-def _solver_settings(cfg: RunConfig | None, args) -> SolverSettings:
-    base = cfg.solver if cfg is not None else SolverSettings()
-    n_paths = args.paths if getattr(args, "paths", None) else base.n_paths
-    k_max = args.k_max if getattr(args, "k_max", None) is not None else base.k_max
-    return SolverSettings(
+def _solve(problem, grid, base: SolverSettings, args, quantization):
+    """Solve with ``base``, where --paths and --k-max override it when given.
+
+    Returns the surface and the path count used.
+    """
+    n_paths = base.n_paths if args.paths is None else args.paths
+    surface = solve(
+        problem,
+        grid,
+        feature_map=base.feature_map(),
+        k_max=base.k_max if args.k_max is None else args.k_max,
         n_paths=n_paths,
-        k_max=k_max,
-        degree=base.degree,
-        cross_terms=base.cross_terms,
-        quantization=base.quantization,
+        seed=args.seed,
+        quantization=quantization,
         probe_paths=base.probe_paths,
         explore_prob=base.explore_prob,
     )
+    return surface, n_paths
 
 
 def cmd_validate(args) -> int:
@@ -174,18 +179,7 @@ def cmd_simulate(args) -> int:
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     problem, grid = cfg.build_problem()
-    s = _solver_settings(cfg, args)
-    surface = solve(
-        problem,
-        grid,
-        feature_map=s.feature_map(),
-        k_max=s.k_max,
-        n_paths=s.n_paths,
-        seed=args.seed,
-        quantization=s.quantization,
-        probe_paths=s.probe_paths,
-        explore_prob=s.explore_prob,
-    )
+    surface, n_paths = _solve(problem, grid, cfg.solver, args, cfg.solver.quantization)
     out = _ensure_out(args.out)
     with open(os.path.join(out, "surface.csv"), "w", encoding="utf-8") as fh:
         surface_to_csv(surface, fh)
@@ -197,7 +191,7 @@ def cmd_solve(args) -> int:
         {
             "family": cfg.family,
             "seed": args.seed,
-            "n_paths": s.n_paths,
+            "n_paths": n_paths,
             "k_levels": surface.k_levels,
             "converged": surface.diagnostics.converged,
             "root_value": surface.y0,
@@ -214,18 +208,7 @@ def cmd_solve(args) -> int:
 def cmd_compare_oracle(args) -> int:
     cfg = load_config(args.config)
     problem, grid = cfg.build_problem()
-    s = _solver_settings(cfg, args)
-    surface = solve(
-        problem,
-        grid,
-        feature_map=s.feature_map(),
-        k_max=s.k_max,
-        n_paths=s.n_paths,
-        seed=args.seed,
-        quantization=args.branching,
-        probe_paths=s.probe_paths,
-        explore_prob=s.explore_prob,
-    )
+    surface, n_paths = _solve(problem, grid, cfg.solver, args, args.branching)
     instance = build_lattice(problem, grid, branching=args.branching)
     values = exact_dp(instance, k_max=surface.k_levels, with_table=False)
     b0 = problem.modes.initial
@@ -243,7 +226,7 @@ def cmd_compare_oracle(args) -> int:
             "family": cfg.family,
             "branching": args.branching,
             "seed": args.seed,
-            "n_paths": s.n_paths,
+            "n_paths": n_paths,
             "rows": rows,
         },
     )
@@ -258,16 +241,6 @@ def cmd_hydro_demo(args) -> int:
     else:
         params = HydroParams()
         base = SolverSettings(n_paths=10000, cross_terms=False)
-    settings = SolverSettings(
-        n_paths=args.paths if args.paths is not None else base.n_paths,
-        k_max=args.k_max if args.k_max is not None else base.k_max,
-        degree=base.degree,
-        cross_terms=base.cross_terms,
-        quantization=None,
-        probe_paths=base.probe_paths,
-        explore_prob=base.explore_prob,
-    )
-    fm = settings.feature_map()
     problem, grid = build_hydro_problem(params)
     out = _ensure_out(args.out)
 
@@ -281,16 +254,7 @@ def cmd_hydro_demo(args) -> int:
     if not (loop.ok and term.ok):
         return 1
 
-    surface = solve(
-        problem,
-        grid,
-        feature_map=fm,
-        k_max=settings.k_max,
-        n_paths=settings.n_paths,
-        seed=args.seed,
-        probe_paths=settings.probe_paths,
-        explore_prob=settings.explore_prob,
-    )
+    surface, _ = _solve(problem, grid, base, args, None)
     policy = extract_policy(surface)
     report = certify(policy, n_paths=args.certify_paths, seed=args.seed + 1)
 

@@ -146,6 +146,8 @@ def _coerce_solver(section: dict) -> SolverSettings:
         raise ConfigError("solver.quantization must be null, 2 or 3")
     if settings.k_max is not None and settings.k_max < 0:
         raise ConfigError("solver.k_max must be nonnegative")
+    if settings.probe_paths < 1:
+        raise ConfigError("solver.probe_paths must be at least 1")
     if not 0.0 <= settings.explore_prob < 1.0:
         raise ConfigError("solver.explore_prob must lie in [0, 1)")
     return settings

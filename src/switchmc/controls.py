@@ -141,6 +141,10 @@ class JumpMapFamily:
             target_only=True,
         )
 
+    def reset(self, b_from: int, b_to: int, t: float, x: np.ndarray) -> np.ndarray:
+        """``apply`` on the batch ``x`` as a float array of ``x``'s shape."""
+        return np.broadcast_to(np.asarray(self.apply(b_from, b_to, t, x), dtype=float), x.shape)
+
 
 @dataclass(frozen=True)
 class RewardSpec:
@@ -267,9 +271,7 @@ def validate_terminal_no_switch(
     worst = None
     for b in mode_set.labels:
         for b2 in mode_set.others(b):
-            moved = np.broadcast_to(
-                np.asarray(jump_maps.apply(b, b2, horizon, probes), dtype=float), probes.shape
-            )
+            moved = jump_maps.reset(b, b2, horizon, probes)
             margin = g_here - (np.asarray(reward.terminal(moved), dtype=float) - costs(b, b2, horizon))
             i = int(np.argmin(margin))
             if worst is None or margin[i] < worst[0]:
@@ -286,7 +288,7 @@ def validate_terminal_no_switch(
 def _compose_chain(jump_maps: JumpMapFamily, chain: Sequence[int], t: float, probes: np.ndarray) -> np.ndarray:
     x = probes
     for bf, bt in zip(chain[:-1], chain[1:]):
-        x = np.broadcast_to(np.asarray(jump_maps.apply(bf, bt, t, x), dtype=float), probes.shape)
+        x = jump_maps.reset(bf, bt, t, x)
     return x
 
 

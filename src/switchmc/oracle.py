@@ -98,7 +98,7 @@ def _scalar_terminal(problem, state: tuple) -> float:
 
 def _scalar_jump_map(problem, b_from: int, b_to: int, t: float, state: tuple) -> tuple:
     x = np.array([state])
-    return tuple(np.broadcast_to(np.asarray(problem.jump_maps.apply(b_from, b_to, t, x), dtype=float), x.shape)[0])
+    return tuple(problem.jump_maps.reset(b_from, b_to, t, x)[0])
 
 
 def build_lattice(

@@ -19,6 +19,13 @@ Coefficient callables are evaluated on batches: ``x`` and ``y`` have shape
 for the drift and jump coefficient and ``(n_paths, dim, brownian_dim)`` for
 the diffusion.
 
+The forward step is written once.  ``_lookback`` reads the delayed states
+from a path buffer and ``_euler_step`` advances a batch whose paths may
+run in different modes (one ``euler_increment`` call per mode group) and
+guards against divergence.  ``simulate_batch`` (one mode at a time), the
+solver's exploration ensemble and its certification all step through
+them.
+
 Per-path random streams are spawned from the root seed with
 ``numpy.random.SeedSequence``, so a batch split into parts reproduces
 the whole batch path by path.
@@ -352,6 +359,51 @@ def euler_increment(
     return dx
 
 
+def _check_state(spec: SddeSpec, x: np.ndarray, step: int) -> None:
+    if not np.all(np.isfinite(x)) or np.linalg.norm(x, axis=1).max() > spec.state_bound:
+        raise DivergedError(step)
+
+
+def _lookback(buffer: np.ndarray, presegment: np.ndarray, i: int) -> np.ndarray:
+    """States at t_i minus the delay, read from a (n_paths, n_steps + 1, dim) buffer.
+
+    The delay in steps is ``presegment.shape[0]``; before the delay has
+    elapsed the initial segment supplies the value.
+    """
+    j = i - presegment.shape[0]
+    if j >= 0:
+        return buffer[:, j]
+    return np.broadcast_to(presegment[i], buffer[:, i].shape)
+
+
+def _euler_step(
+    spec: SddeSpec,
+    grid: TimeGrid,
+    i: int,
+    x: np.ndarray,
+    y: np.ndarray,
+    mode: np.ndarray,
+    brownian: np.ndarray,
+    jump_counts: np.ndarray,
+) -> np.ndarray:
+    """States at t_{i+1} of a batch whose paths may run in different modes.
+
+    ``mode`` holds each path's mode on [t_i, t_{i+1}); ``brownian`` and
+    ``jump_counts`` are the whole batch's noise, as from
+    :func:`sample_noise_batch`.  Raises DivergedError(i + 1) when a new
+    state is non-finite or beyond ``state_bound``.
+    """
+    x_new = np.empty_like(x)
+    for b in np.unique(mode):
+        sel = mode == b
+        counts = jump_counts[sel, i] if spec.jump_intensity > 0.0 else None
+        x_new[sel] = x[sel] + euler_increment(
+            spec, grid.step, grid.times[i], x[sel], y[sel], int(b), brownian[sel, i], counts
+        )
+    _check_state(spec, x_new, i + 1)
+    return x_new
+
+
 def _switch_schedule(grid: TimeGrid, control) -> list:
     """Control as a list of (grid index, target mode), validated on-grid."""
     if control is None:
@@ -393,12 +445,9 @@ def simulate_batch(
         Mode on [t_i, t_{i+1}); last entry is the mode at the horizon.
     """
     n = grid.n_steps
-    dt = grid.step
     n_paths = brownian.shape[0]
-    d = spec.delay_steps(grid)
     pres = spec.presegment(grid)
     schedule = _switch_schedule(grid, control)
-    times = grid.times
 
     states = np.empty((n_paths, n + 1, spec.dim))
     modes = np.empty(n + 1, dtype=np.int64)
@@ -407,22 +456,25 @@ def simulate_batch(
     pos = 0
 
     for i in range(n + 1):
-        t = times[i]
+        # The Euler step checks the states it makes; the initial state and
+        # post-switch states are checked here, at their own step index.
+        unchecked = i == 0
         while pos < len(schedule) and schedule[pos][0] == i:
             target = schedule[pos][1]
             if switch_map is not None:
-                x = np.ascontiguousarray(_as_batch(switch_map(mode, target, t, x), x.shape))
+                x = np.ascontiguousarray(_as_batch(switch_map(mode, target, grid.times[i], x), x.shape))
             mode = target
             pos += 1
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x, axis=1).max() > spec.state_bound:
-            raise DivergedError(i)
+            unchecked = True
+        if unchecked:
+            _check_state(spec, x, i)
         states[:, i] = x
         modes[i] = mode
-        if i == n:
-            break
-        y = states[:, i - d] if i - d >= 0 else np.broadcast_to(pres[i], x.shape)
-        counts_row = jump_counts[:, i] if spec.jump_intensity > 0.0 else None
-        x = x + euler_increment(spec, dt, t, x, y, mode, brownian[:, i], counts_row)
+        if i < n:
+            x = _euler_step(
+                spec, grid, i, x, _lookback(states, pres, i), np.full(n_paths, mode), brownian,
+                jump_counts,
+            )
     return states, modes
 
 

@@ -63,7 +63,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .controls import SwitchingProblem, reject_history_reward
-from .sdde import DivergedError, TimeGrid, _draw_one, euler_increment, sample_noise_batch
+from .sdde import TimeGrid, _draw_one, _euler_step, _lookback, sample_noise_batch
 
 __all__ = [
     "FeatureMap",
@@ -81,6 +81,7 @@ __all__ = [
 
 GAP_TOL_SCALE = 1e-3
 RIDGE_SCALE = 1e-8
+SE_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -221,8 +222,20 @@ def _moved_state(problem: SwitchingProblem, b2: int, t: float, x: np.ndarray) ->
     """State after a switch into mode b2 (reset maps must ignore the source)."""
     labels = problem.modes.labels
     b_from = labels[0] if labels[0] != b2 else labels[1]
-    out = np.asarray(problem.jump_maps.apply(b_from, b2, t, x), dtype=float)
-    return np.broadcast_to(out, x.shape)
+    return problem.jump_maps.reset(b_from, b2, t, x)
+
+
+def _apply_switches(problem: SwitchingProblem, t: float, x, mode, rows, targets) -> None:
+    """Switch paths ``rows`` into ``targets`` at time t, resetting ``x`` and ``mode`` in place.
+
+    Each path is reset once, from the mode it was in when the call began.
+    """
+    sources = mode[rows]
+    for b in np.unique(sources):
+        for b2 in np.unique(targets[sources == b]):
+            sel = rows[(sources == b) & (targets == b2)]
+            x[sel] = problem.jump_maps.reset(int(b), int(b2), t, x[sel])
+            mode[sel] = b2
 
 
 def _switch_costs(problem: SwitchingProblem, t: float) -> np.ndarray:
@@ -310,21 +323,14 @@ def _backward_pass(problem, grid, fm, ens, n_levels, below, cost, on_step=None) 
     record is returned.
     """
     pre, post, fit_rows, g_pre = ens
-    spec = problem.dynamics
-    d = spec.delay_steps(grid)
-    pres = spec.presegment(grid)
+    pres = problem.dynamics.presegment(grid)
     n = grid.n_steps
     m = problem.modes.n_modes
     n_rows = pre.shape[0]
     identity = problem.jump_maps.is_identity
     nxt = np.broadcast_to(g_pre, (n_levels, m, n_rows))
     for i in range(n - 1, -1, -1):
-        if d == 0:
-            y_del = None
-        elif i >= d:
-            y_del = post[:, i - d]
-        else:
-            y_del = np.broadcast_to(pres[i], (n_rows, spec.dim))
+        y_del = _lookback(post, pres, i) if pres.shape[0] else None
         A_post = fm.design(post[:, i], y_del)
         A_pre = A_post if identity else fm.design(pre[:, i], y_del)
         coef = np.empty((m, n_levels, A_post.shape[1]))
@@ -393,11 +399,8 @@ class ValueSurface:
     grid: TimeGrid
     feature_map: FeatureMap
     use_delay: bool
-    k_max_requested: int
     k_levels: int
     train_seed: int
-    quantization: Optional[int]
-    explore_prob: float
     coef: np.ndarray
     target_range: np.ndarray
     switch_cost: np.ndarray
@@ -491,12 +494,8 @@ def _randomized_ensemble(
     """
     spec = problem.dynamics
     modes = problem.modes
-    labels = list(modes.labels)
-    m = len(labels)
+    m = modes.n_modes
     n = grid.n_steps
-    times = grid.times
-    dt = grid.step
-    d = spec.delay_steps(grid)
     pres = spec.presegment(grid)
 
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -514,62 +513,30 @@ def _randomized_ensemble(
         u_switch[p] = rng.random(n)
         pick_switch[p] = rng.integers(0, max(m - 1, 1), size=n)
 
-    label_arr = np.asarray(labels, dtype=np.int64)
     x = np.broadcast_to(spec.initial_state(), (n_paths, spec.dim)).copy()
     mode = np.full(n_paths, modes.initial, dtype=np.int64)
     pre = np.empty((n_paths, n + 1, spec.dim))
     post = np.empty_like(pre)
     mode_of_step = np.empty((n_paths, n + 1), dtype=np.int64)
 
-    for i in range(n + 1):
-        t = times[i]
+    for i in range(n):
         pre[:, i] = x
         if i == 0:
-            target = label_arr[pick_start]
+            target = pick_start + 1
             explore = (u_start >= 0.5) & (target != mode)
-        elif i < n:
-            explore = u_switch[:, i] < explore_prob
-            target = np.zeros(n_paths, dtype=np.int64)
-            for b in labels:
-                rows = np.flatnonzero(explore & (mode == b))
-                if rows.size:
-                    alt = np.asarray(modes.others(b), dtype=np.int64)
-                    target[rows] = alt[pick_switch[rows, i] % alt.size]
         else:
-            explore = np.zeros(n_paths, dtype=bool)
-        if explore.any():
-            for b in labels:
-                rows_b = np.flatnonzero(explore & (mode == b))
-                if rows_b.size == 0:
-                    continue
-                for b2 in np.unique(target[rows_b]):
-                    rows = rows_b[target[rows_b] == b2]
-                    moved = np.asarray(
-                        problem.jump_maps.apply(int(b), int(b2), t, x[rows]), dtype=float
-                    )
-                    x[rows] = np.broadcast_to(moved, x[rows].shape)
-                    mode[rows] = b2
+            # The pick-th label other than the path's mode.
+            target = pick_switch[:, i] + 1
+            target += target >= mode
+            explore = u_switch[:, i] < explore_prob
+        rows = np.flatnonzero(explore)
+        _apply_switches(problem, grid.times[i], x, mode, rows, target[rows])
         post[:, i] = x
         mode_of_step[:, i] = mode
-        if i == n:
-            break
-        if d == 0:
-            y = x
-        elif i >= d:
-            y = post[:, i - d]
-        else:
-            y = np.broadcast_to(pres[i], x.shape)
-        x_new = np.empty_like(x)
-        for b in np.unique(mode):
-            sel = mode == b
-            counts_row = counts[sel, i] if spec.jump_intensity > 0.0 else None
-            x_new[sel] = x[sel] + euler_increment(
-                spec, dt, t, x[sel], y[sel], int(b), dw[sel, i], counts_row
-            )
-        x = x_new
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x, axis=1).max() > spec.state_bound:
-            raise DivergedError(i + 1)
-    return pre, post, mode_of_step, d
+        x = _euler_step(spec, grid, i, x, _lookback(post, pres, i), mode, dw, counts)
+    pre[:, n] = post[:, n] = x
+    mode_of_step[:, n] = mode
+    return pre, post, mode_of_step, pres.shape[0]
 
 
 def solve(
@@ -582,7 +549,6 @@ def solve(
     quantization: Optional[int] = None,
     probe_paths: int = 48,
     explore_prob: float = 0.15,
-    se_batches: int = 8,
 ) -> ValueSurface:
     """Fit the budget-indexed value family for k = 0..k_max backward.
 
@@ -592,15 +558,13 @@ def solve(
     otherwise runs to k_max and flags the surface as unconverged (with a
     warning carrying the last gap).  ``explore_prob`` is the per-instant
     mode re-roll probability of the training ensemble.
-    ``se_batches`` controls the root standard error: the pass is rerun
-    on that many independent path blocks and the spread of their root
-    values is reported (values below 2 keep the cheaper and much too
-    optimistic design-conditional error).
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
-    if se_batches < 0:
-        raise ValueError("se_batches must be nonnegative")
+    if k_max is not None and k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+    if probe_paths < 1:
+        raise ValueError("probe_paths must be at least 1")
     if not 0.0 <= explore_prob < 1.0:
         raise ValueError("explore_prob must lie in [0, 1)")
     reject_history_reward(problem, "the regression solver")
@@ -730,7 +694,7 @@ def solve(
     # captures that propagated noise; the design SE stays as a floor.
     # The stopping level is known by now, so each block fits all its
     # levels in one time-major pass.
-    n_blocks = min(se_batches, P // 2)
+    n_blocks = min(SE_BLOCKS, P // 2)
     if n_blocks >= 2:
         edges = np.linspace(0, P, n_blocks + 1).astype(int)
         block_roots = {key: [] for key in root_value}
@@ -768,11 +732,8 @@ def solve(
         grid=grid,
         feature_map=fm,
         use_delay=use_delay,
-        k_max_requested=k_max,
         k_levels=k_final,
         train_seed=seed,
-        quantization=quantization,
-        explore_prob=explore_prob,
         coef=coef[:, :, : k_final + 1],
         target_range=target_range[:, :, : k_final + 1],
         switch_cost=cost,
@@ -825,8 +786,9 @@ class Policy:
 def extract_policy(surface: ValueSurface) -> Policy:
     """Policy from a surface solved with budget at least the mode count."""
     m = surface.problem.modes.n_modes
-    if surface.k_max_requested < m:
-        raise ValueError(f"policy extraction needs k_max >= {m} (got {surface.k_max_requested})")
+    k_max = surface.diagnostics.k_max_requested
+    if k_max < m:
+        raise ValueError(f"policy extraction needs k_max >= {m} (got {k_max})")
     return Policy(surface=surface)
 
 
@@ -873,8 +835,13 @@ def certify(
     states equal those of its previous decision at the instant (no path
     left or entered it, or the ones that left came back unchanged) reuses
     that decision's targets instead of deciding again: the call would see
-    the same batch and return the same targets.
+    the same batch and return the same targets.  Each switch is charged
+    from the surface's per-step cost matrix ``switch_cost``, the same
+    floats the training pass and the decisions compared; the cost model
+    is called only for the horizon check.
     """
+    if n_paths < 2:
+        raise ValueError("n_paths must be at least 2")
     surface = policy.surface
     if seed == surface.train_seed:
         raise ValueError("certification seed must differ from the training seed")
@@ -884,103 +851,70 @@ def certify(
     spec = problem.dynamics
     modes = problem.modes
     n = grid.n_steps
-    dt = grid.step
-    times = grid.times
-    d = spec.delay_steps(grid)
     pres = spec.presegment(grid)
 
     dw, counts = sample_noise_batch(spec, grid, seed, n_paths, quantization)
-    x = np.broadcast_to(spec.initial_state(), (n_paths, spec.dim)).copy()
     mode = np.full(n_paths, modes.initial, dtype=np.int64)
     buffer = np.empty((n_paths, n + 1, spec.dim))
+    buffer[:, 0] = spec.initial_state()
     run_acc = np.zeros(n_paths)
     cost_acc = np.zeros(n_paths)
     switch_count = np.zeros(n_paths, dtype=np.int64)
-    terminal_switches = 0
 
-    for i in range(n + 1):
-        t = times[i]
-        if d == 0:
-            y_dec = x
-        elif i >= d:
-            y_dec = buffer[:, i - d]
-        else:
-            y_dec = np.broadcast_to(pres[i], x.shape)
-        if i < n:
-            # Per mode, the rows, states and targets of its last decision at
-            # this instant.  The delayed states stay fixed within the chain
-            # (or are ``x`` itself), so rows and states decide the call.
-            last = {}
-            for _ in range(modes.n_modes - 1):
-                switched_any = False
-                for b in np.unique(mode):
-                    sel = np.flatnonzero(mode == b)
-                    if sel.size == 0:
-                        continue
-                    xs = x[sel]
-                    prev = last.get(b)
-                    if prev and np.array_equal(prev[0], sel) and np.array_equal(prev[1], xs):
-                        targets = prev[2]
-                    else:
-                        targets = policy.decide_batch(i, int(b), xs, y_dec[sel])
-                        last[b] = (sel, xs, targets)
-                    hit = targets > 0
-                    if not np.any(hit):
-                        continue
-                    switched_any = True
-                    for b2 in np.unique(targets[hit]):
-                        rows = sel[targets == b2]
-                        cost_acc[rows] += problem.costs(int(b), int(b2), t)
-                        x[rows] = np.broadcast_to(
-                            np.asarray(
-                                problem.jump_maps.apply(int(b), int(b2), t, x[rows]), dtype=float
-                            ),
-                            x[rows].shape,
-                        )
-                        mode[rows] = b2
-                        switch_count[rows] += 1
-                if not switched_any:
-                    break
-        buffer[:, i] = x
-        if i == n:
-            # No switch is applied at the horizon; count the paths where one
-            # would have looked profitable (it should be none when the
-            # terminal reward strictly dominates every switch-then-stop).
-            g_here = np.asarray(problem.reward.terminal(x), dtype=float)
-            tempted = np.zeros(n_paths, dtype=bool)
+    for i in range(n):
+        t = grid.times[i]
+        # Switch resets write through this view into the buffer.  Without
+        # a delay the lookback is the same view, so decisions and the step
+        # both see the current states; otherwise it is fixed for the instant.
+        x = buffer[:, i]
+        y = _lookback(buffer, pres, i)
+        # Per mode, the rows, states and targets of its last decision at
+        # this instant; rows and states decide the call.
+        last = {}
+        for _ in range(modes.n_modes - 1):
+            switched_any = False
             for b in np.unique(mode):
                 sel = np.flatnonzero(mode == b)
-                for b2 in modes.others(int(b)):
-                    xb = np.broadcast_to(
-                        np.asarray(
-                            problem.jump_maps.apply(int(b), int(b2), t, x[sel]), dtype=float
-                        ),
-                        x[sel].shape,
-                    )
-                    cand = np.asarray(problem.reward.terminal(xb), dtype=float) - problem.costs(
-                        int(b), int(b2), t
-                    )
-                    tempted[sel] |= cand > g_here[sel]
-            terminal_switches = int(tempted.sum())
-            break
-        y = buffer[:, i - d] if i - d >= 0 else np.broadcast_to(pres[i], x.shape)
+                if sel.size == 0:
+                    continue
+                xs = x[sel]
+                prev = last.get(b)
+                if prev and np.array_equal(prev[0], sel) and np.array_equal(prev[1], xs):
+                    targets = prev[2]
+                else:
+                    targets = policy.decide_batch(i, int(b), xs, y[sel])
+                    last[b] = (sel, xs, targets)
+                hit = np.flatnonzero(targets)
+                if hit.size == 0:
+                    continue
+                switched_any = True
+                rows = sel[hit]
+                cost_acc[rows] += surface.switch_cost[i, b - 1, targets[hit] - 1]
+                switch_count[rows] += 1
+                _apply_switches(problem, t, x, mode, rows, targets[hit])
+            if not switched_any:
+                break
         for b in np.unique(mode):
             sel = mode == b
-            run_acc[sel] += dt * np.asarray(
+            run_acc[sel] += grid.step * np.asarray(
                 problem.reward.running(t, x[sel], int(b)), dtype=float
             )
-        x_new = np.empty_like(x)
-        for b in np.unique(mode):
-            sel = mode == b
-            counts_row = counts[sel, i] if spec.jump_intensity > 0.0 else None
-            x_new[sel] = x[sel] + euler_increment(
-                spec, dt, t, x[sel], y[sel], int(b), dw[sel, i], counts_row
-            )
-        x = x_new
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x, axis=1).max() > spec.state_bound:
-            raise DivergedError(i + 1)
+        buffer[:, i + 1] = _euler_step(spec, grid, i, x, y, mode, dw, counts)
 
-    j = run_acc + np.asarray(problem.reward.terminal(buffer[:, n]), dtype=float) - cost_acc
+    # No switch is applied at the horizon; count the paths where one would
+    # have looked profitable (it should be none when the terminal reward
+    # strictly dominates every switch-then-stop).
+    t, x = grid.times[n], buffer[:, n]
+    g = np.asarray(problem.reward.terminal(x), dtype=float)
+    tempted = np.zeros(n_paths, dtype=bool)
+    for b in np.unique(mode):
+        sel = np.flatnonzero(mode == b)
+        for b2 in modes.others(int(b)):
+            xb = problem.jump_maps.reset(int(b), b2, t, x[sel])
+            cand = np.asarray(problem.reward.terminal(xb), dtype=float) - problem.costs(int(b), b2, t)
+            tempted[sel] |= cand > g[sel]
+    terminal_switches = int(tempted.sum())
+    j = run_acc + g - cost_acc
     lower = float(j.mean())
     lower_se = float(j.std(ddof=1) / np.sqrt(n_paths))
     y0 = surface.y0

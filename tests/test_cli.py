@@ -109,6 +109,13 @@ def test_solve_two_mode_artifacts(tmp_path):
     assert diag["k_max_requested"] == 4
 
 
+def test_zero_paths_override_is_an_error(tmp_path):
+    cfg = write_config(tmp_path, "tm.json", {"family": "two_mode_deterministic", "params": {"n_steps": 4}})
+    for command in ("solve", "compare-oracle"):
+        argv = [command, "--config", cfg, "--seed", "3", "--paths", "0", "--out", str(tmp_path / command)]
+        assert run_cli(argv) == 1
+
+
 def test_compare_oracle_small_affine(tmp_path):
     cfg = write_config(
         tmp_path,

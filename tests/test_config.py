@@ -41,6 +41,7 @@ def test_solver_settings_validated():
         {"k_max": -1},
         {"explore_prob": 1.0},
         {"explore_prob": -0.2},
+        {"probe_paths": 0},
         {"basis": "chebyshev"},
     ):
         with pytest.raises(ConfigError):

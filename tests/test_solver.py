@@ -196,6 +196,9 @@ def test_input_validation():
         solve(problem, grid, explore_prob=1.0)
     with pytest.raises(ValueError):
         solve(problem, grid, explore_prob=-0.1)
+    for bad in ({"k_max": -1}, {"probe_paths": 0}, {"probe_paths": -5}):
+        with pytest.raises(ValueError):
+            solve(problem, grid, n_paths=100, **bad)
 
 
 def test_source_dependent_resets_rejected():
@@ -217,6 +220,8 @@ def test_certify_guards():
     policy = extract_policy(surf)
     with pytest.raises(ValueError):
         certify(policy, n_paths=400, seed=9)
+    with pytest.raises(ValueError):
+        certify(policy, n_paths=1, seed=10)
 
 
 def test_certify_raises_when_the_state_diverges():
@@ -380,6 +385,18 @@ def test_certify_never_repeats_a_decision(monkeypatch):
     assert report.switch_histogram == PINNED["hydro"]["histogram"]
     assert report.lower_bound == pytest.approx(PINNED["hydro"]["lower_bound"], rel=1e-9, abs=0.0)
     assert len(calls) == 100
+
+
+def test_ensemble_resets_each_explored_path_once():
+    # Resets add the target label, so a path reset twice at t_0 would end
+    # at twice its mode's label.
+    problem, grid = pure_cost_problem(n_modes=3)
+    shifting = JumpMapFamily(apply=lambda bf, bt, t, x: x + float(bt), target_only=True)
+    problem = dataclasses.replace(problem, jump_maps=shifting)
+    _, post, mode_of_step, _ = _randomized_ensemble(problem, grid, 300, 3, None, 0.15)
+    start = mode_of_step[:, 0]
+    assert set(start) == {1, 2, 3}
+    assert np.array_equal(post[:, 0, 0], np.where(start == 1, 0.0, start))
 
 
 def test_certify_decides_again_when_a_mode_gets_new_states():
