@@ -22,6 +22,7 @@ from .controls import (
     validate_control,
     validate_cycle_reduction,
     validate_no_free_loop,
+    validate_target_only,
     validate_terminal_no_switch,
 )
 from .oracle import (
@@ -110,6 +111,7 @@ __all__ = [
     "validate_no_free_loop",
     "validate_terminal_no_switch",
     "validate_cycle_reduction",
+    "validate_target_only",
     "evaluate_reward",
     "ScenarioTree",
     "snell_envelope",

@@ -32,6 +32,7 @@ from .controls import (
     validate_control,
     validate_cycle_reduction,
     validate_no_free_loop,
+    validate_target_only,
     validate_terminal_no_switch,
 )
 from .hydro import (
@@ -123,6 +124,11 @@ def cmd_validate(args) -> int:
         print(f"cycle-reduction: {'ok' if red.ok else 'FAIL'} ({red.detail})")
     else:
         print("cycle-reduction: skipped (exhaustive check supports at most 5 modes)")
+
+    if problem.jump_maps.target_only:
+        tgt = validate_target_only(problem.jump_maps, modes, probes, ts)
+        ok &= tgt.ok
+        print(f"target-only: {'ok' if tgt.ok else 'FAIL'} ({tgt.detail})")
 
     if cfg.control is not None:
         complaints = validate_control(cfg.control, modes, grid)
@@ -234,6 +240,8 @@ def cmd_compare_oracle(args) -> int:
 
 
 def cmd_hydro_demo(args) -> int:
+    if args.certify_paths < 2:
+        raise ValueError("--certify-paths must be at least 2")
     if args.config:
         cfg = load_config(args.config)
         params = cfg.hydro_params()

@@ -8,7 +8,6 @@ A config file is a single JSON object:
       "solver": {"n_paths": 4000, "k_max": null, "degree": 2,
                  "cross_terms": true, "quantization": null,
                  "probe_paths": 48, "explore_prob": 0.15},
-      "certify": {"n_paths": 4000},
       "control": {"times": [0.0], "modes": [2]}
     }
 
@@ -81,7 +80,6 @@ class RunConfig:
     family: str
     params: dict
     solver: SolverSettings
-    certify_paths: int
     control: Optional[SwitchingControl]
 
     def build_problem(self):
@@ -156,7 +154,7 @@ def _coerce_solver(section: dict) -> SolverSettings:
 def parse_config(raw: dict) -> RunConfig:
     """Validate a decoded JSON object into a RunConfig."""
     raw = _require_object(raw, "config")
-    _check_keys(raw, {"family", "params", "solver", "certify", "control"}, "top-level")
+    _check_keys(raw, {"family", "params", "solver", "control"}, "top-level")
     family = raw.get("family")
     if family not in FAMILIES:
         raise ConfigError(f"family must be one of {', '.join(FAMILIES)}; got {family!r}")
@@ -171,11 +169,6 @@ def parse_config(raw: dict) -> RunConfig:
     }[family]
     _check_keys(params, allowed, f"{family} params")
     solver = _coerce_solver(_require_object(raw.get("solver", {}), "solver"))
-    certify = _require_object(raw.get("certify", {}), "certify")
-    _check_keys(certify, {"n_paths"}, "certify")
-    certify_paths = certify.get("n_paths", solver.n_paths)
-    if not isinstance(certify_paths, int) or certify_paths < 2:
-        raise ConfigError("certify.n_paths must be an integer >= 2")
     control = None
     if "control" in raw:
         section = _require_object(raw["control"], "control")
@@ -188,7 +181,6 @@ def parse_config(raw: dict) -> RunConfig:
         family=family,
         params=dict(params),
         solver=solver,
-        certify_paths=certify_paths,
         control=control,
     )
     if family == "hydro":

@@ -32,6 +32,7 @@ __all__ = [
     "validate_no_free_loop",
     "validate_terminal_no_switch",
     "validate_cycle_reduction",
+    "validate_target_only",
     "evaluate_reward",
     "reject_history_reward",
 ]
@@ -123,13 +124,13 @@ class JumpMapFamily:
     :func:`validate_cycle_reduction`.  ``target_only`` declares that
     ``apply`` ignores ``b_from`` (the reset depends on the target mode
     alone), which lets the regression solver close same-instant switch
-    chains over one moved-state table per target mode.
+    chains over one moved-state table per target mode;
+    :func:`validate_target_only` checks the declaration on probe states.
     """
 
     apply: Callable
     state_bound: float = 0.0
     reduction_length: int = 2
-    is_identity: bool = False
     target_only: bool = False
 
     @classmethod
@@ -137,7 +138,6 @@ class JumpMapFamily:
         return cls(
             apply=lambda bf, bt, t, x: x,
             reduction_length=reduction_length,
-            is_identity=True,
             target_only=True,
         )
 
@@ -344,6 +344,36 @@ def _has_short_match(jump_maps, chain, k, t, probes, full) -> bool:
             if np.max(np.abs(_compose_chain(jump_maps, sub, t, probes) - full)) <= 1e-9:
                 return True
     return False
+
+
+def validate_target_only(
+    jump_maps: JumpMapFamily,
+    mode_set: ModeSet,
+    probe_states: np.ndarray,
+    times: Sequence[float],
+) -> ValidationReport:
+    """Check that the reset into each mode is the same from every source.
+
+    At every probe state and time, the resets into a target must be
+    exactly equal across source modes, since the regression solver reads
+    them from one arbitrary source.  The witness is (source, other
+    source, target, t) for the first pair that differs.
+    """
+    probes = np.atleast_2d(np.asarray(probe_states, dtype=float))
+    for t in times:
+        for b2 in mode_set.labels:
+            first, *rest = mode_set.others(b2)
+            ref = jump_maps.reset(first, b2, t, probes)
+            for bf in rest:
+                if not np.array_equal(jump_maps.reset(bf, b2, t, probes), ref):
+                    return ValidationReport(
+                        ok=False,
+                        detail=f"resets {first}->{b2} and {bf}->{b2} differ at t={t}",
+                        witness=(first, bf, b2, t),
+                    )
+    return ValidationReport(
+        ok=True, detail=f"resets agree across sources at {probes.shape[0]} probes x {len(times)} times"
+    )
 
 
 def reward_terms(

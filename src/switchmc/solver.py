@@ -23,9 +23,9 @@ The family is built by backward induction in the budget index:
   (running reward plus that fit) and the best switch, whose value is
   read from the level-(k-1) table of the target mode at the post-switch
   state, at the same instant, so same-instant switch chains compose.
-  Closing that recursion needs the switch reset to be either the
-  identity or a function of the target mode alone; the moved values
-  then live in one table per target mode.
+  Closing that recursion needs the switch reset to be a function of the
+  target mode alone; the moved values then live in one table per target
+  mode.  ``solve`` checks that on probe states before any fit.
 * Every surface evaluation is clipped to the empirical range of its
   regression targets.  A conditional mean cannot leave the target range,
   so the clip only suppresses polynomial extrapolation far from the
@@ -45,8 +45,8 @@ a single pass each.  ``ValueSurface`` stores the coefficients stacked per
 ``_level_values``, so decisions compare exactly what training compared.
 A decision builds the design at its states once, reads the level-k
 continuation from it, and asks only for the post-switch table of the
-levels below; with target-only resets the pre-switch table, which no
-decision reads, is never computed.
+levels below; the pre-switch table, which no decision reads, is never
+computed.
 
 Certification resimulates the extracted policy on a fresh seed and
 reports the gap between the root value and the realized reward.
@@ -62,7 +62,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .controls import SwitchingProblem, reject_history_reward
+from .controls import SwitchingProblem, reject_history_reward, validate_target_only
 from .sdde import TimeGrid, _draw_one, _euler_step, _lookback, sample_noise_batch
 
 __all__ = [
@@ -256,17 +256,15 @@ def _level_values(problem, fm, t, dt, x, yv, A, coef, target_range, below, cost)
     these states, None when k_lo is 0.  ``cost`` is the instant's switch
     cost matrix.  Returns (tab, moved), each (L, n_modes, n_rows): the
     value per mode at ``x`` and the value per target mode at the
-    post-switch states; for identity resets they are the same array.
-    Each level's best intervention is computed once and serves both.
-    With target-only resets, ``A=None`` skips the pre-switch side: no
-    level of ``moved`` reads it, and ``tab`` comes back as None.
+    post-switch states.  Each level's best intervention is computed once
+    and serves both.  ``A=None`` skips the pre-switch side: no level of
+    ``moved`` reads it, and ``tab`` comes back as None.
     """
-    identity = problem.jump_maps.is_identity
     levels = coef.shape[1]
     shape = (levels, problem.modes.n_modes, x.shape[0])
     tab = None if A is None else np.empty(shape)
-    moved = tab if identity else np.empty(shape)
-    sides = [moved] if tab is None or identity else [tab, moved]
+    moved = np.empty(shape)
+    sides = [moved] if tab is None else [tab, moved]
 
     def fitted(design, b):
         # One matrix-vector product per level, as in the level-by-level
@@ -280,10 +278,9 @@ def _level_values(problem, fm, t, dt, x, yv, A, coef, target_range, below, cost)
         if tab is not None:
             run = dt * np.asarray(problem.reward.running(t, x, b), dtype=float)
             tab[:, b - 1] = run + fitted(A, b)
-        if not identity:
-            xm = _moved_state(problem, b, t, x)
-            run = dt * np.asarray(problem.reward.running(t, xm, b), dtype=float)
-            moved[:, b - 1] = run + fitted(fm.design(xm, yv), b)
+        xm = _moved_state(problem, b, t, x)
+        run = dt * np.asarray(problem.reward.running(t, xm, b), dtype=float)
+        moved[:, b - 1] = run + fitted(fm.design(xm, yv), b)
     # Continuation values are in place; each level now takes the larger
     # of continuation and best intervention into the level below.
     for lev in range(levels):
@@ -327,12 +324,11 @@ def _backward_pass(problem, grid, fm, ens, n_levels, below, cost, on_step=None) 
     n = grid.n_steps
     m = problem.modes.n_modes
     n_rows = pre.shape[0]
-    identity = problem.jump_maps.is_identity
     nxt = np.broadcast_to(g_pre, (n_levels, m, n_rows))
     for i in range(n - 1, -1, -1):
         y_del = _lookback(post, pres, i) if pres.shape[0] else None
         A_post = fm.design(post[:, i], y_del)
-        A_pre = A_post if identity else fm.design(pre[:, i], y_del)
+        A_pre = fm.design(pre[:, i], y_del)
         coef = np.empty((m, n_levels, A_post.shape[1]))
         target_range = np.empty((m, n_levels, 2))
         fits = []
@@ -412,32 +408,27 @@ class ValueSurface:
         return self.feature_map.design(x, y if self.use_delay else None)
 
     def _tab_eval(
-        self, i: int, x: np.ndarray, y: np.ndarray, k_hi: Optional[int] = None,
-        A: Optional[np.ndarray] = None,
+        self, i: int, x: np.ndarray, y: np.ndarray, k_hi: Optional[int] = None, *,
+        moved_only: bool = False,
     ):
         """Value tables at interior index i for budgets 0..k_hi.
 
         Returns (tab, moved), each of shape (k_hi + 1, n_modes, n_rows):
         the value per mode at the given states, and the value per target
-        mode at the corresponding post-switch states.  For identity
-        reset maps the two are the same array.  Levels are the raw
+        mode at the corresponding post-switch states.  Levels are the raw
         per-budget fits; only reported root and probe values are
         monotonized, never the surfaces decisions compare, since a
         running max would bias the intervention side upward.
 
-        The policy passes the design ``A`` it built at ``x`` and reads
-        only ``moved``.  With target-only resets the pre-switch side is
-        then not computed at all and ``tab`` comes back as None; with
-        identity resets the one table is built from ``A``.
+        The policy reads only ``moved`` and passes ``moved_only``: the
+        pre-switch side is then not computed and ``tab`` comes back as
+        None.
         """
         if not 0 <= i < self.grid.n_steps:
             raise ValueError("value tables live on interior grid indices")
         levels = (self.k_levels if k_hi is None else k_hi) + 1
         yv = y if self.use_delay else None
-        if A is None:
-            A = self.feature_map.design(x, yv)
-        elif not self.problem.jump_maps.is_identity:
-            A = None
+        A = None if moved_only else self.feature_map.design(x, yv)
         return _level_values(
             self.problem, self.feature_map, self.grid.times[i], self.grid.step, x, yv,
             A, self.coef[i, :, :levels], self.target_range[i, :, :levels], None,
@@ -568,10 +559,9 @@ def solve(
     if not 0.0 <= explore_prob < 1.0:
         raise ValueError("explore_prob must lie in [0, 1)")
     reject_history_reward(problem, "the regression solver")
-    maps = problem.jump_maps
-    if not (maps.is_identity or maps.target_only):
+    if not problem.jump_maps.target_only:
         raise ValueError(
-            "the regression solver needs identity or target-only switch resets; "
+            "the regression solver needs target-only switch resets (the identity is one); "
             "source-dependent resets are only supported by the exact oracle"
         )
     fm = feature_map or FeatureMap()
@@ -588,6 +578,14 @@ def solve(
     use_delay = d > 0
     P = n_paths
     p = fm.n_features(problem.dynamics.dim, use_delay)
+    probe_times = sorted({0, n // 4, n // 2, (3 * n) // 4} - {n})
+    q = min(probe_paths, P)
+    check = validate_target_only(
+        problem.jump_maps, modes, pre[:q, probe_times].reshape(-1, pre.shape[2]),
+        grid.times[probe_times],
+    )
+    if not check.ok:
+        raise ValueError(f"jump maps declared target_only are not: {check.detail}")
 
     fit_rows = {
         (b, i): np.flatnonzero(mode_of_step[:, i] == b) for b in labels for i in range(n)
@@ -601,9 +599,6 @@ def solve(
     target_range = np.zeros((n, m, k_max + 1, 2))
     root_value = {}
     root_se = {}
-
-    probe_times = sorted({0, n // 4, n // 2, (3 * n) // 4} - {n})
-    q = min(probe_paths, P)
 
     def main_level(k: int, below):
         """Level k on the full ensemble; returns its post-switch table.
@@ -763,21 +758,15 @@ class Policy:
     def decide_batch(self, i: int, b: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Target modes per path; 0 means continue."""
         surf = self.surface
-        n = surf.grid.n_steps
-        out = np.zeros(x.shape[0], dtype=np.int64)
-        if i >= n or self.k < 1:
-            return out
-        A = surf.design(x, y)
-        cont = surf._continuation(self.k, b, i, x, A)
-        _, moved = surf._tab_eval(i, x, y, k_hi=self.k - 1, A=A)
-        best = np.full(x.shape[0], -np.inf)
-        for b2 in surf.problem.modes.others(b):
-            cand = moved[self.k - 1, b2 - 1] - surf.switch_cost[i, b - 1, b2 - 1]
-            better = cand > best
-            out = np.where(better, b2, out)
-            best = np.where(better, cand, best)
-        out[~(best > cont)] = 0
-        return out
+        if i >= surf.grid.n_steps or self.k < 1:
+            return np.zeros(x.shape[0], dtype=np.int64)
+        cont = surf._continuation(self.k, b, i, x, surf.design(x, y))
+        _, moved = surf._tab_eval(i, x, y, k_hi=self.k - 1, moved_only=True)
+        # The +inf diagonal rules out staying; argmax keeps the lowest
+        # label among tied targets.
+        cand = moved[self.k - 1] - surf.switch_cost[i, b - 1][:, None]
+        target = cand.argmax(axis=0)
+        return np.where(cand.max(axis=0) > cont, target + 1, 0)
 
     def decide(self, i: int, b: int, x: np.ndarray, y: np.ndarray) -> int:
         return int(self.decide_batch(i, b, np.atleast_2d(x), np.atleast_2d(y))[0])

@@ -1,11 +1,14 @@
 """Command line driver: exit codes, artifacts, determinism."""
 
+import dataclasses
 import json
 import warnings
 
 import pytest
 
+from switchmc import cli, families
 from switchmc.cli import main
+from switchmc.controls import JumpMapFamily
 
 
 def write_config(tmp_path, name, payload):
@@ -27,6 +30,21 @@ def test_validate_two_mode_ok(tmp_path, capsys):
     assert code == 0
     assert "no-free-loop: ok" in out
     assert "terminal-no-switch: ok" in out
+    assert "target-only: ok" in out
+
+
+def test_validate_flags_misdeclared_target_only(tmp_path, capsys, monkeypatch):
+    pure_cost = families.pure_cost_problem
+
+    def twisted(**params):
+        problem, grid = pure_cost(**params)
+        maps = JumpMapFamily(apply=lambda bf, bt, t, x: x + float(bf), target_only=True)
+        return dataclasses.replace(problem, jump_maps=maps), grid
+
+    monkeypatch.setattr(families, "pure_cost_problem", twisted)
+    cfg = write_config(tmp_path, "pc.json", {"family": "pure_cost", "params": {"n_modes": 3}})
+    assert run_cli(["validate", "--config", cfg, "--seed", "1"]) == 1
+    assert "target-only: FAIL" in capsys.readouterr().out
 
 
 def test_validate_flags_bad_control(tmp_path, capsys):
@@ -164,6 +182,16 @@ def test_water_value_cli(tmp_path):
     assert payload["monotone"] is True
     assert payload["upstream_marginal"] >= payload["downstream_marginal"] - 1e-6
     assert len(payload["values"]) == 2
+
+
+def test_hydro_demo_checks_certify_paths_first(tmp_path, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve must not run")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    argv = ["hydro-demo", "--seed", "3", "--certify-paths", "1", "--out", str(tmp_path / "demo")]
+    assert run_cli(argv) == 1
+    assert not (tmp_path / "demo").exists()
 
 
 def test_hydro_demo_cli(tmp_path):

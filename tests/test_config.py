@@ -48,14 +48,9 @@ def test_solver_settings_validated():
             parse_config({**base, "solver": bad})
 
 
-def test_certify_paths_validated():
-    base = {"family": "pure_cost", "params": {}}
-    cfg = parse_config({**base, "certify": {"n_paths": 512}})
-    assert cfg.certify_paths == 512
-    with pytest.raises(ConfigError):
-        parse_config({**base, "certify": {"n_paths": 1}})
-    with pytest.raises(ConfigError):
-        parse_config({**base, "certify": {"seed": 3}})
+def test_certify_section_is_unknown():
+    with pytest.raises(ConfigError, match="unknown top-level key"):
+        parse_config({"family": "pure_cost", "params": {}, "certify": {"n_paths": 512}})
 
 
 def test_control_section():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import delay_instance, jumps_instance
-from switchmc.controls import JumpMapFamily, SwitchingProblem
+from switchmc.controls import JumpMapFamily, SwitchingProblem, validate_target_only
 from switchmc.families import pure_cost_problem, two_mode_flow_problem
 from switchmc.hydro import HydroParams, build_hydro_problem
 from switchmc.oracle import build_lattice, exact_dp
@@ -202,16 +202,22 @@ def test_input_validation():
 
 
 def test_source_dependent_resets_rejected():
+    # Undeclared, and declared target-only although the reset reads the
+    # source: the solver must refuse both.
     base, grid = pure_cost_problem(n_modes=3)
-    twisted = SwitchingProblem(
-        dynamics=base.dynamics,
-        modes=base.modes,
-        costs=base.costs,
-        jump_maps=JumpMapFamily(apply=lambda bf, bt, t, x: x + float(bf)),
-        reward=base.reward,
-    )
-    with pytest.raises(ValueError):
-        solve(twisted, grid, n_paths=100)
+    for declared, message in ((False, "needs target-only"), (True, "declared target_only")):
+        twisted = SwitchingProblem(
+            dynamics=base.dynamics,
+            modes=base.modes,
+            costs=base.costs,
+            jump_maps=JumpMapFamily(apply=lambda bf, bt, t, x: x + float(bf), target_only=declared),
+            reward=base.reward,
+        )
+        with pytest.raises(ValueError, match=message):
+            solve(twisted, grid, n_paths=100)
+    report = validate_target_only(twisted.jump_maps, twisted.modes, np.zeros((4, 1)), [0.0, 0.5])
+    assert not report.ok
+    assert report.witness == (2, 3, 1, 0.0)
 
 
 def test_certify_guards():
