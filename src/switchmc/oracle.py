@@ -1,10 +1,11 @@
 """Exact solver for small instances on quantized scenario lattices.
 
 The lattice discretizes the driving noise: Brownian increments take
-two-point (+-sqrt(dt)) or three-point Gauss-Hermite values, and jump
-arrivals (optional) occupy dedicated branches of probability lam*dt*w_k
-carrying a zero Brownian increment.  Nodes never recombine, so each node
-is a full noise history.
+two-point (+-sqrt(dt)) or three-point Gauss-Hermite values, and when
+lam > 0 jump arrivals occupy dedicated branches of probability lam*dt*w_k
+carrying a zero Brownian increment.  This is the law the simulation
+module samples with ``quantization`` set.  Nodes never recombine, so each
+node is a full noise history.
 
 Because the controlled state depends on the whole control history (mode
 dependent drift, state resets at switches, delayed lookback), values are
@@ -19,12 +20,11 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .controls import SwitchingProblem, reject_history_reward
-from .sdde import TimeGrid, _quantized_increments, euler_increment
+from .sdde import TimeGrid, _quantized_law, euler_increment
 from .snell import ScenarioTree
 
 __all__ = [
@@ -56,7 +56,6 @@ class OracleInstance:
     delay_steps: int
     windows: tuple
     branching: int
-    include_jumps: bool
 
 
 class _EdgeStepper:
@@ -77,11 +76,9 @@ class _EdgeStepper:
         t = self.times[level]
         x = np.array([window[-1]])
         y = np.array([window[0]])
-        counts = None
-        if spec.jump_intensity > 0.0:
-            counts = np.zeros((1, spec.n_marks))
-            if mark >= 0:
-                counts[0, mark] = 1.0
+        counts = np.zeros((1, spec.n_marks))
+        if mark >= 0:
+            counts[0, mark] = 1.0
         dx = euler_increment(spec, self.grid.step, t, x, y, mode, np.array([[dw]]), counts)
         out = tuple((x + dx)[0])
         self.cache[key] = out
@@ -105,7 +102,6 @@ def build_lattice(
     problem: SwitchingProblem,
     grid: TimeGrid,
     branching: int = 2,
-    include_jumps: Optional[bool] = None,
     node_budget: int = 100_000,
 ) -> OracleInstance:
     """Build the scenario lattice for a problem.
@@ -116,22 +112,13 @@ def build_lattice(
     node count would exceed ``node_budget``.
     """
     spec = problem.dynamics
-    if spec.brownian_dim != 1:
-        raise ValueError("the lattice supports brownian_dim == 1 only")
-    dt = grid.step
-    lam = spec.jump_intensity
-    jumps_on = (lam > 0.0) if include_jumps is None else bool(include_jumps)
-    if jumps_on and lam * dt > 1.0:
-        raise ValueError("jump_intensity * step must be <= 1 for the jump branch")
-    vals, probs = _quantized_increments(branching, dt)
-    no_jump_scale = 1.0 - lam * dt if (jumps_on and lam > 0.0) else 1.0
-    edges = [(float(v), -1, float(p) * no_jump_scale) for v, p in zip(vals, probs)]
-    if jumps_on and lam > 0.0:
-        for k in range(spec.n_marks):
-            edges.append((0.0, k, lam * dt * float(spec.marks.weights[k])))
+    vals, probs, p_jump = _quantized_law(spec, grid, branching)
+    edges = [(float(v), -1, float(p) * (1.0 - p_jump)) for v, p in zip(vals, probs)]
+    if spec.jump_intensity > 0.0:
+        edges += [(0.0, k, p_jump * float(w)) for k, w in enumerate(spec.marks.weights)]
     b_count = len(edges)
     levels = grid.n_steps
-    n_nodes = (b_count ** (levels + 1) - 1) // (b_count - 1) if b_count > 1 else levels + 1
+    n_nodes = (b_count ** (levels + 1) - 1) // (b_count - 1)
     if n_nodes > node_budget:
         raise ValueError(f"lattice needs {n_nodes} nodes, over the budget of {node_budget}")
 
@@ -180,7 +167,6 @@ def build_lattice(
         delay_steps=d,
         windows=tuple(windows),
         branching=branching,
-        include_jumps=jumps_on,
     )
 
 

@@ -27,15 +27,15 @@ solver's exploration ensemble and its certification all step through
 them.
 
 Per-path random streams are spawned from the root seed with
-``numpy.random.SeedSequence``, so a batch split into parts reproduces
-the whole batch path by path.
+``numpy.random.SeedSequence``, so path p's noise depends only on the
+seed and p: the first paths of a batch equal a smaller batch.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -119,6 +119,8 @@ class MarkDistribution:
         object.__setattr__(self, "weights", weights)
         if atoms.shape[0] != weights.shape[0]:
             raise ValueError("atoms and weights must have matching length")
+        if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(weights))):
+            raise ValueError("mark atoms and weights must be finite")
         if np.any(weights < 0.0):
             raise ValueError("mark weights must be nonnegative")
         if abs(weights.sum() - 1.0) > 1e-12:
@@ -245,43 +247,54 @@ class Path:
         return self.states[j] if j >= 0 else self.presegment[i]
 
 
-def _quantized_increments(branching: int, dt: float):
-    """Support and weights of the quantized Brownian increment."""
-    s = np.sqrt(dt)
-    if branching == 2:
-        return np.array([-s, s]), np.array([0.5, 0.5])
-    if branching == 3:
-        r = np.sqrt(3.0 * dt)
-        return np.array([-r, 0.0, r]), np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0])
-    raise ValueError("quantization must be 2 or 3")
-
-
-def _draw_one(rng: np.random.Generator, spec: SddeSpec, grid: TimeGrid, quantization):
-    n = grid.n_steps
+def _quantized_law(spec: SddeSpec, grid: TimeGrid, branching: int):
+    """The quantized law the sampler and the lattice share: increment support, weights, lam * dt."""
+    if spec.brownian_dim != 1:
+        raise ValueError("quantized noise supports brownian_dim == 1 only")
     dt = grid.step
-    lam = spec.jump_intensity
-    n_marks = spec.n_marks
-    counts = np.zeros((n, n_marks), dtype=np.int64)
+    if branching == 2:
+        vals, probs = np.array([-1.0, 1.0]) * np.sqrt(dt), np.array([0.5, 0.5])
+    elif branching == 3:
+        vals, probs = np.array([-1.0, 0.0, 1.0]) * np.sqrt(3.0 * dt), np.array([1.0, 4.0, 1.0]) / 6.0
+    else:
+        raise ValueError("quantization must be 2 or 3")
+    p_jump = spec.jump_intensity * dt
+    if p_jump > 1.0:
+        raise ValueError("jump_intensity * step must be <= 1 for quantized noise")
+    return vals, probs, p_jump
+
+
+def _draw_tables(spec: SddeSpec, grid: TimeGrid, quantization: Optional[int]):
+    """What ``_draw_one`` reads, checked and tabulated once per batch (None for Gaussian noise).
+
+    ``Generator.choice(k, size=n, p=w)`` draws ``c.searchsorted(random(n), side="right")``
+    with c = cumsum(w) / cumsum(w)[-1], so these cdfs give the streams ``choice`` gave.
+    """
     if quantization is None:
-        dw = rng.standard_normal((n, spec.brownian_dim)) * np.sqrt(dt)
-        if lam > 0.0:
+        return None
+    vals, probs, p_jump = _quantized_law(spec, grid, quantization)
+    marks = spec.marks.weights if spec.jump_intensity > 0.0 else None
+    cdfs = [None if w is None else np.cumsum(w) / np.cumsum(w)[-1] for w in (probs, marks)]
+    return vals, p_jump, *cdfs
+
+
+def _draw_one(rng: np.random.Generator, spec: SddeSpec, grid: TimeGrid, tables):
+    n = grid.n_steps
+    counts = np.zeros((n, spec.n_marks), dtype=np.int64)
+    if tables is None:
+        dw = rng.standard_normal((n, spec.brownian_dim)) * np.sqrt(grid.step)
+        if spec.jump_intensity > 0.0:
             # Mark-wise thinning: independent Poisson(lam * w_k * dt) counts
             # per mark reproduce a Poisson(lam * dt) clock with i.i.d. marks.
-            for k in range(n_marks):
-                counts[:, k] = rng.poisson(lam * spec.marks.weights[k] * dt, size=n)
+            for k, w in enumerate(spec.marks.weights):
+                counts[:, k] = rng.poisson(spec.jump_intensity * w * grid.step, size=n)
         return dw, counts
-    if spec.brownian_dim != 1:
-        raise ValueError("quantized sampling supports brownian_dim == 1 only")
-    vals, probs = _quantized_increments(quantization, dt)
-    branch = rng.choice(len(vals), size=n, p=probs)
-    dw = vals[branch][:, None]
-    if lam > 0.0:
-        if lam * dt > 1.0:
-            raise ValueError("jump_intensity * step must be <= 1 for quantized sampling")
-        u = rng.random(n)
-        mark = rng.choice(n_marks, size=n, p=spec.marks.weights)
-        jumped = u < lam * dt
-        counts[np.arange(n)[jumped], mark[jumped]] = 1
+    vals, p_jump, cdf, mark_cdf = tables
+    dw = vals[cdf.searchsorted(rng.random(n), side="right")][:, None]
+    if mark_cdf is not None:
+        jumped = rng.random(n) < p_jump
+        mark = mark_cdf.searchsorted(rng.random(n), side="right")
+        counts[np.flatnonzero(jumped), mark[jumped]] = 1
         dw[jumped] = 0.0
     return dw, counts
 
@@ -297,32 +310,31 @@ def sample_noise(spec: SddeSpec, grid: TimeGrid, seed: int, quantization: Option
     draws.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    dw, counts = _draw_one(rng, spec, grid, quantization)
+    dw, counts = _draw_one(rng, spec, grid, _draw_tables(spec, grid, quantization))
     return NoiseDraw(brownian=dw, jump_counts=counts, seed=seed)
 
 
-def sample_noise_batch(
-    spec: SddeSpec,
-    grid: TimeGrid,
-    seed,
-    n_paths: int,
-    quantization: Optional[int] = None,
-):
+def _noise_batch(spec: SddeSpec, grid: TimeGrid, seed: int, n_paths: int, quantization, then=None):
+    """``sample_noise_batch`` with a hook: ``then(p, rng)`` may draw more from path p's stream."""
+    tables = _draw_tables(spec, grid, quantization)
+    dw = np.empty((n_paths, grid.n_steps, spec.brownian_dim))
+    counts = np.empty((n_paths, grid.n_steps, spec.n_marks), dtype=np.int64)
+    for p, child in enumerate(np.random.SeedSequence(seed).spawn(n_paths)):
+        rng = np.random.default_rng(child)
+        dw[p], counts[p] = _draw_one(rng, spec, grid, tables)
+        if then is not None:
+            then(p, rng)
+    return dw, counts
+
+
+def sample_noise_batch(spec: SddeSpec, grid: TimeGrid, seed: int, n_paths: int, quantization: Optional[int] = None):
     """Noise for a batch of paths, one spawned stream per path.
 
-    ``seed`` may be an int or a ``numpy.random.SeedSequence``.  Returns
-    ``(brownian, counts)`` with shapes (n_paths, n_steps, brownian_dim)
-    and (n_paths, n_steps, n_marks).
+    Returns ``(brownian, counts)`` with shapes (n_paths, n_steps,
+    brownian_dim) and (n_paths, n_steps, n_marks).  Path p's noise depends
+    only on ``seed`` and p, so a batch's first paths equal a smaller batch.
     """
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = root.spawn(n_paths)
-    n = grid.n_steps
-    dw = np.empty((n_paths, n, spec.brownian_dim))
-    counts = np.zeros((n_paths, n, spec.n_marks), dtype=np.int64)
-    for p, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        dw[p], counts[p] = _draw_one(rng, spec, grid, quantization)
-    return dw, counts
+    return _noise_batch(spec, grid, seed, n_paths, quantization)
 
 
 def _as_batch(value, shape):

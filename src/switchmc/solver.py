@@ -63,7 +63,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .controls import SwitchingProblem, reject_history_reward, validate_target_only
-from .sdde import TimeGrid, _draw_one, _euler_step, _lookback, sample_noise_batch
+from .sdde import TimeGrid, _euler_step, _lookback, _noise_batch, sample_noise_batch
 
 __all__ = [
     "FeatureMap",
@@ -468,7 +468,7 @@ def _randomized_ensemble(
     problem: SwitchingProblem,
     grid: TimeGrid,
     n_paths: int,
-    seed,
+    seed: int,
     quantization,
     explore_prob: float,
 ):
@@ -489,20 +489,18 @@ def _randomized_ensemble(
     n = grid.n_steps
     pres = spec.presegment(grid)
 
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    dw = np.empty((n_paths, n, spec.brownian_dim))
-    counts = np.zeros((n_paths, n, spec.n_marks), dtype=np.int64)
     u_start = np.empty(n_paths)
     pick_start = np.empty(n_paths, dtype=np.int64)
     u_switch = np.empty((n_paths, n))
     pick_switch = np.empty((n_paths, n), dtype=np.int64)
-    for p, child in enumerate(root.spawn(n_paths)):
-        rng = np.random.default_rng(child)
-        dw[p], counts[p] = _draw_one(rng, spec, grid, quantization)
+
+    def mode_draws(p, rng):
         u_start[p] = rng.random()
         pick_start[p] = rng.integers(0, m)
         u_switch[p] = rng.random(n)
         pick_switch[p] = rng.integers(0, max(m - 1, 1), size=n)
+
+    dw, counts = _noise_batch(spec, grid, seed, n_paths, quantization, then=mode_draws)
 
     x = np.broadcast_to(spec.initial_state(), (n_paths, spec.dim)).copy()
     mode = np.full(n_paths, modes.initial, dtype=np.int64)

@@ -1,5 +1,7 @@
 """Exact lattice oracle: node counts, backward induction, exhaustive enumeration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from switchmc.families import (
     two_mode_flow_problem,
 )
 from switchmc.oracle import build_lattice, enumerate_controls, exact_dp
+from switchmc.sdde import sample_noise, sample_noise_batch
+from switchmc.solver import solve
 
 
 def test_lattice_node_count_branching_two():
@@ -17,13 +21,17 @@ def test_lattice_node_count_branching_two():
     assert inst.tree.n_nodes == 31
     assert inst.tree.n_levels == 4
     assert inst.branching == 2
-    assert not inst.include_jumps
+    assert np.all(inst.edge_mark == -1)
 
 
 def test_lattice_with_jump_branch():
     problem, grid = random_tree_problem(seed=0, levels=3, with_jumps=True)
     inst = build_lattice(problem, grid, branching=2)
-    assert inst.include_jumps
+    assert problem.dynamics.jump_intensity > 0.0
+    inner = [kids for kids in inst.tree.children if kids]
+    assert len(inner) == 1 + 3 + 9
+    for kids in inner:
+        assert sorted(inst.edge_mark[kids]) == [-1, -1, 0]
     assert inst.tree.n_nodes == 1 + 3 + 9 + 27
     probs = inst.tree.probs
     kids = inst.tree.children[0]
@@ -38,6 +46,32 @@ def test_lattice_rejects_heavy_jump_rate():
     fat = problem.__class__(**{**problem.__dict__, "dynamics": heavy})
     with pytest.raises(ValueError):
         build_lattice(fat, grid, branching=2)
+
+
+@pytest.mark.parametrize("case", ["brownian_dim_2", "jump_rate_over_one"])
+def test_sampler_and_lattice_reject_the_same_inputs(case):
+    # Both draw from one quantized law, so they must refuse the same
+    # specs with the same error, even for an empty batch.
+    if case == "brownian_dim_2":
+        problem, grid = two_mode_flow_problem(n_steps=4)
+        changes = {"brownian_dim": 2, "diffusion": lambda t, x, y, mode: np.zeros(x.shape + (2,))}
+    else:
+        problem, grid = random_tree_problem(seed=0, levels=3, with_jumps=True)
+        changes = {"jump_intensity": 4.0}
+    bad = dataclasses.replace(problem, dynamics=dataclasses.replace(problem.dynamics, **changes))
+    calls = [
+        lambda: sample_noise_batch(bad.dynamics, grid, seed=0, n_paths=0, quantization=2),
+        lambda: sample_noise_batch(bad.dynamics, grid, seed=0, n_paths=5, quantization=3),
+        lambda: sample_noise(bad.dynamics, grid, seed=0, quantization=2),
+        lambda: solve(bad, grid, n_paths=50, seed=0, quantization=2),
+        lambda: build_lattice(bad, grid, branching=2),
+    ]
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        messages.add(str(err.value))
+    assert len(messages) == 1
 
 
 def test_node_budget_guard():

@@ -57,6 +57,76 @@ def test_mark_distribution_validation():
         MarkDistribution(atoms=np.array([[0.5]]), weights=np.array([-1.0]))
 
 
+def test_mark_distribution_rejects_non_finite():
+    for atoms, weights in [
+        ([[0.5]], [np.nan]),
+        ([[0.5], [1.0]], [0.5, np.nan]),
+        ([[np.inf]], [1.0]),
+        ([[0.5], [np.nan]], [0.5, 0.5]),
+    ]:
+        with pytest.raises(ValueError, match="finite"):
+            MarkDistribution(atoms=np.array(atoms), weights=np.array(weights))
+
+
+def two_mark_spec():
+    return SddeSpec(
+        dim=1,
+        drift=lambda t, x, y, mode: np.zeros_like(x),
+        diffusion=lambda t, x, y, mode: np.ones_like(x)[..., None],
+        jump_coeff=lambda t, x, y, z, mode: np.full_like(x, z[0]),
+        jump_intensity=3.0,
+        marks=MarkDistribution(atoms=np.array([[-0.5], [1.0]]), weights=np.array([0.3, 0.7])),
+        initial_segment=lambda s: np.zeros(1),
+    )
+
+
+def choice_reference(spec, grid, rng, quantization):
+    """One path of quantized noise written with Generator.choice."""
+    n, dt = grid.n_steps, grid.step
+    if quantization == 2:
+        vals, probs = np.array([-np.sqrt(dt), np.sqrt(dt)]), [0.5, 0.5]
+    else:
+        r = np.sqrt(3.0 * dt)
+        vals, probs = np.array([-r, 0.0, r]), [1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0]
+    dw = vals[rng.choice(quantization, size=n, p=probs)]
+    jumped = rng.random(n) < spec.jump_intensity * dt
+    mark = rng.choice(spec.n_marks, size=n, p=spec.marks.weights)
+    dw[jumped] = 0.0
+    counts = np.zeros((n, spec.n_marks), dtype=np.int64)
+    counts[np.flatnonzero(jumped), mark[jumped]] = 1
+    return dw[:, None], counts
+
+
+@pytest.mark.parametrize("quantization", [2, 3])
+def test_quantized_stream_matches_generator_choice(quantization):
+    spec = two_mark_spec()
+    grid = TimeGrid(1.0, 8)
+    assert spec.jump_intensity * grid.step <= 1.0
+    dw, counts = sample_noise_batch(spec, grid, seed=17, n_paths=200, quantization=quantization)
+    for p, child in enumerate(np.random.SeedSequence(17).spawn(200)):
+        ref_dw, ref_counts = choice_reference(spec, grid, np.random.default_rng(child), quantization)
+        assert np.array_equal(dw[p], ref_dw)
+        assert np.array_equal(counts[p], ref_counts)
+    assert counts.sum() > 0 and np.all(counts.sum(axis=2) <= 1)
+    one = sample_noise(spec, grid, seed=17, quantization=quantization)
+    ref_dw, ref_counts = choice_reference(
+        spec, grid, np.random.default_rng(np.random.SeedSequence(17)), quantization
+    )
+    assert np.array_equal(one.brownian, ref_dw)
+    assert np.array_equal(one.jump_counts, ref_counts)
+
+
+@pytest.mark.parametrize("quantization", [None, 2])
+def test_batch_prefix_equals_smaller_batch(quantization):
+    spec = two_mark_spec()
+    grid = TimeGrid(1.0, 8)
+    big = sample_noise_batch(spec, grid, seed=9, n_paths=100, quantization=quantization)
+    small = sample_noise_batch(spec, grid, seed=9, n_paths=40, quantization=quantization)
+    assert big[1].sum() > 0
+    for whole, part in zip(big, small):
+        assert np.array_equal(whole[:40], part)
+
+
 def test_noise_determinism_and_zero_intensity():
     spec = gbm_spec()
     grid = TimeGrid(1.0, 16)
