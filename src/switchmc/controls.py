@@ -118,7 +118,8 @@ class SwitchingCostModel:
 class JumpMapFamily:
     """State resets h(b_from, b_to, t, x) applied at switches.
 
-    ``apply`` must accept batched states (n, dim).  ``state_bound`` is the
+    ``apply`` must accept batched states (n, dim), row r of its output
+    depending only on row r of ``x``.  ``state_bound`` is the
     constant C in |h(t,x)| <= max(C, |x|); ``reduction_length`` the
     declared chain-reduction length checked by
     :func:`validate_cycle_reduction`.  ``target_only`` declares that
@@ -151,7 +152,7 @@ class RewardSpec:
     """Running and terminal rewards.
 
     ``running(t, x, mode) -> (n,)`` and ``terminal(x) -> (n,)`` on batched
-    states.
+    states, row r of the output depending only on row r of ``x``.
     """
 
     running: Callable

@@ -18,6 +18,7 @@ value memoization, as an independent cross-check.
 
 from __future__ import annotations
 
+import contextlib
 import sys
 from dataclasses import dataclass
 
@@ -189,6 +190,17 @@ class OracleValues:
         return float(self.root[k, b - 1])
 
 
+@contextlib.contextmanager
+def _recursion_room(grid: TimeGrid, n_modes: int, k_max: int):
+    """Room for the oracle's recursions: a higher recursion limit, restored on exit."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, 10 * (grid.n_steps + 2) * (n_modes * (k_max + 1) + 2) + 1000))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
 def exact_dp(instance: OracleInstance, k_max: int, with_table: bool = True) -> OracleValues:
     """Exact value of the switching problem on the lattice.
 
@@ -207,9 +219,6 @@ def exact_dp(instance: OracleInstance, k_max: int, with_table: bool = True) -> O
     labels = list(problem.modes.labels)
     stepper = _EdgeStepper(problem, grid)
     memo = {}
-    limit = 10 * (grid.n_steps + 2) * (len(labels) * (k_max + 1) + 2) + 1000
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
 
     def value(node: int, b: int, k: int, window: tuple) -> float:
         key = (node, b, k, window)
@@ -237,15 +246,16 @@ def exact_dp(instance: OracleInstance, k_max: int, with_table: bool = True) -> O
         return v
 
     root = np.empty((k_max + 1, len(labels)))
-    for k in range(k_max + 1):
-        for b in labels:
-            root[k, b - 1] = value(0, b, k, instance.windows[0])
     table = {}
-    if with_table:
-        for node in range(tree.n_nodes):
+    with _recursion_room(grid, len(labels), k_max):
+        for k in range(k_max + 1):
             for b in labels:
-                for k in range(k_max + 1):
-                    table[(node, b, k)] = value(node, b, k, instance.windows[node])
+                root[k, b - 1] = value(0, b, k, instance.windows[0])
+        if with_table:
+            for node in range(tree.n_nodes):
+                for b in labels:
+                    for k in range(k_max + 1):
+                        table[(node, b, k)] = value(node, b, k, instance.windows[node])
     return OracleValues(root=root, table=table, k_max=k_max)
 
 
@@ -273,9 +283,6 @@ def enumerate_controls(instance: OracleInstance, k_max: int, max_contexts: int =
     times = grid.times
     stepper = _EdgeStepper(problem, grid)
     counter = [0]
-    limit = 10 * (grid.n_steps + 2) * (problem.modes.n_modes * (k_max + 1) + 2) + 1000
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
 
     def instant_options(t: float, b: int, k: int, window: tuple):
         options = []
@@ -313,5 +320,6 @@ def enumerate_controls(instance: OracleInstance, k_max: int, max_contexts: int =
                 best_chain = chain
         return best, best_chain
 
-    value, chain = explore(0, problem.modes.initial, k_max, instance.windows[0])
+    with _recursion_room(grid, problem.modes.n_modes, k_max):
+        value, chain = explore(0, problem.modes.initial, k_max, instance.windows[0])
     return EnumerationResult(value=float(value), root_chain=chain, contexts=counter[0])

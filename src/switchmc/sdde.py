@@ -319,8 +319,9 @@ def _noise_batch(spec: SddeSpec, grid: TimeGrid, seed: int, n_paths: int, quanti
     tables = _draw_tables(spec, grid, quantization)
     dw = np.empty((n_paths, grid.n_steps, spec.brownian_dim))
     counts = np.empty((n_paths, grid.n_steps, spec.n_marks), dtype=np.int64)
-    for p, child in enumerate(np.random.SeedSequence(seed).spawn(n_paths)):
-        rng = np.random.default_rng(child)
+    for p in range(n_paths):
+        # Child p of SeedSequence(seed).spawn(n_paths), built as the loop reaches it.
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p,)))
         dw[p], counts[p] = _draw_one(rng, spec, grid, tables)
         if then is not None:
             then(p, rng)

@@ -39,9 +39,11 @@ mode for all levels of the range, and hands the fitted coefficients to
 level by level on top of level k_lo-1's post-switch table.  The main
 pass calls it once per level, because it is also the stopping search and
 must not fit levels above the one where the family settles.  Once that
-level is known, the standard-error block reruns fit all their levels in
-a single pass each.  ``ValueSurface`` stores the coefficients stacked per
-(step, mode) and evaluates value tables for the policy through the same
+level is known, the standard-error blocks run as the groups of one pass
+over all their levels: each group is fitted on its own rows, and only the
+fits and the products with their coefficients are per group.
+``ValueSurface`` stores the coefficients stacked per (step, mode) and
+evaluates value tables for the policy through the same
 ``_level_values``, so decisions compare exactly what training compared.
 A decision builds the design at its states once, reads the level-k
 continuation from it, and asks only for the post-switch table of the
@@ -54,6 +56,7 @@ reports the gap between the root value and the realized reward.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import warnings
@@ -125,11 +128,20 @@ class FitInfo:
     rank: int
     n_features: int
     used_ridge: bool
-    resid_std: float  # one entry per column for a 2-D target
+    lsq: tuple = field(repr=False, compare=False)  # (design, kept columns, target, solution)
 
     @property
     def rank_deficient(self) -> bool:
         return self.rank < self.n_features
+
+    @functools.cached_property
+    def resid_std(self):
+        """Residual std, one entry per column for a 2-D target; computed on first read."""
+        design, keep, target, sol = self.lsq
+        rhs = target[:, None] if target.ndim == 1 else target
+        resid = np.ascontiguousarray((rhs - design[:, keep] @ sol).T)
+        std = np.sqrt(np.array([r @ r for r in resid]) / max(design.shape[0] - self.rank, 1))
+        return float(std[0]) if target.ndim == 1 else std
 
 
 def _fit(design: np.ndarray, target: np.ndarray):
@@ -164,18 +176,8 @@ def _fit(design: np.ndarray, target: np.ndarray):
         sol[:, bad] = np.linalg.solve(gram + lam * np.eye(p), reduced.T @ rhs[:, bad])
     coef = np.zeros((design.shape[1], rhs.shape[1]))
     coef[keep] = sol
-    resid = np.ascontiguousarray((rhs - reduced @ sol).T)
-    dof = max(design.shape[0] - rank, 1)
-    resid_std = np.sqrt(np.array([r @ r for r in resid]) / dof)
-    if target.ndim == 1:
-        coef, resid_std = coef[:, 0], float(resid_std[0])
-    info = FitInfo(
-        rank=int(rank),
-        n_features=int(keep.sum()),
-        used_ridge=bool(bad.any()),
-        resid_std=resid_std,
-    )
-    return coef, info
+    info = FitInfo(int(rank), int(keep.sum()), bool(bad.any()), (design, keep, target, sol))
+    return (coef[:, 0] if target.ndim == 1 else coef), info
 
 
 def _prediction_se(fit_design: np.ndarray, resid_std: float, eval_design: np.ndarray) -> np.ndarray:
@@ -197,25 +199,17 @@ def _isotonic(seq: np.ndarray) -> np.ndarray:
     mean, which averages statistically tied levels instead of lifting
     them to their upper envelope.
     """
-    vals = [float(v) for v in seq]
-    weights = [1.0] * len(vals)
     out = []
-    wout = []
-    for v, w in zip(vals, weights):
-        out.append(v)
-        wout.append(w)
+    counts = []
+    for v in seq:
+        out.append(float(v))
+        counts.append(1)
         while len(out) > 1 and out[-2] > out[-1]:
-            v2, w2 = out.pop(), wout.pop()
-            v1, w1 = out.pop(), wout.pop()
+            v2, w2 = out.pop(), counts.pop()
+            v1, w1 = out.pop(), counts.pop()
             out.append((v1 * w1 + v2 * w2) / (w1 + w2))
-            wout.append(w1 + w2)
-    flat = np.empty(len(vals))
-    pos = 0
-    for v, w in zip(out, wout):
-        hits = int(round(w))
-        flat[pos : pos + hits] = v
-        pos += hits
-    return flat
+            counts.append(w1 + w2)
+    return np.repeat(np.array(out, dtype=float), counts)
 
 
 def _moved_state(problem: SwitchingProblem, b2: int, t: float, x: np.ndarray) -> np.ndarray:
@@ -246,41 +240,55 @@ def _switch_costs(problem: SwitchingProblem, t: float) -> np.ndarray:
     )
 
 
-def _level_values(problem, fm, t, dt, x, yv, A, coef, target_range, below, cost):
+def _level_values(problem, fm, t, dt, x, yv, A, coef, target_range, below, cost,
+                  groups=(slice(None),), moved_only=False):
     """The backward formula at one instant for a contiguous range of levels.
 
-    ``coef`` (n_modes, L, n_features) and ``target_range`` (n_modes, L, 2)
-    hold the continuation fits of levels k_lo..k_lo+L-1 at this instant,
-    ``A`` is the design at the states ``x`` (delayed states ``yv``) and
+    The rows of ``x`` (delayed states ``yv``) form contiguous ``groups``,
+    each with its own continuation fits of levels k_lo..k_lo+L-1:
+    ``coef`` (n_groups, n_modes, L, n_features) and ``target_range``
+    (n_groups, n_modes, L, 2).  ``A`` is the design at ``x`` or None, and
     ``below`` is level k_lo-1's post-switch value per target mode at
     these states, None when k_lo is 0.  ``cost`` is the instant's switch
     cost matrix.  Returns (tab, moved), each (L, n_modes, n_rows): the
     value per mode at ``x`` and the value per target mode at the
     post-switch states.  Each level's best intervention is computed once
-    and serves both.  ``A=None`` skips the pre-switch side: no level of
-    ``moved`` reads it, and ``tab`` comes back as None.
+    and serves both.  ``moved_only`` skips the pre-switch side, which no
+    level of ``moved`` reads, and returns None for ``tab``.  Resets,
+    rewards and designs run once over all rows, and each distinct state
+    batch gets one design, found by content (identity resets reuse ``A``).
     """
-    levels = coef.shape[1]
+    levels = coef.shape[2]
     shape = (levels, problem.modes.n_modes, x.shape[0])
-    tab = None if A is None else np.empty(shape)
+    tab = None if moved_only else np.empty(shape)
     moved = np.empty(shape)
     sides = [moved] if tab is None else [tab, moved]
+    built = [] if A is None else [(x, A)]
 
-    def fitted(design, b):
-        # One matrix-vector product per level, as in the level-by-level
-        # main pass: a matrix-matrix product rounds differently, and exact
-        # ties between same-instant switch chains (additive switch costs)
-        # would then break differently in the policy than in training.
-        lo, hi = target_range[b - 1].T
-        return np.clip(np.stack([design @ c for c in coef[b - 1]]), lo[:, None], hi[:, None])
+    def design_at(xs):
+        for seen, D in built:
+            if xs is seen or np.array_equal(xs, seen):
+                return D
+        built.append((xs, fm.design(xs, yv)))
+        return built[-1][1]
+
+    def fill(side, xs, b):
+        # One matrix-vector product per group and level: a matrix-matrix
+        # product rounds differently, and exact ties between same-instant
+        # switch chains (additive switch costs) would then break
+        # differently in the policy than in training.
+        D = design_at(xs)
+        for rows, c, r in zip(groups, coef[:, b - 1], target_range[:, b - 1]):
+            Dg, out = D[rows], side[:, b - 1, rows]
+            for lev in range(levels):
+                out[lev] = Dg @ c[lev]
+            np.clip(out, r[:, :1], r[:, 1:], out=out)
+        side[:, b - 1] += dt * np.asarray(problem.reward.running(t, xs, b), dtype=float)
 
     for b in problem.modes.labels:
         if tab is not None:
-            run = dt * np.asarray(problem.reward.running(t, x, b), dtype=float)
-            tab[:, b - 1] = run + fitted(A, b)
-        xm = _moved_state(problem, b, t, x)
-        run = dt * np.asarray(problem.reward.running(t, xm, b), dtype=float)
-        moved[:, b - 1] = run + fitted(fm.design(xm, yv), b)
+            fill(tab, x, b)
+        fill(moved, _moved_state(problem, b, t, x), b)
     # Continuation values are in place; each level now takes the larger
     # of continuation and best intervention into the level below.
     for lev in range(levels):
@@ -298,64 +306,69 @@ class _Step(NamedTuple):
     i: int
     tab: np.ndarray  # (L, n_modes, n_rows) pre-switch values
     moved: np.ndarray  # (L, n_modes, n_rows) post-switch values
-    coef: np.ndarray  # (n_modes, L, n_features)
-    target_range: np.ndarray  # (n_modes, L, 2)
+    coef: np.ndarray  # (n_groups, n_modes, L, n_features)
+    target_range: np.ndarray  # (n_groups, n_modes, L, 2)
     A_pre: np.ndarray
-    fits: list  # (fit design, FitInfo) per mode
-    n_empty: int  # modes with no path in them, fitted on every path
+    fits: list  # (fit design, FitInfo) per group and mode
+    n_empty: int  # (group, mode) fits with no path in the mode, fitted on the whole group
 
 
-def _backward_pass(problem, grid, fm, ens, n_levels, below, cost, on_step=None) -> _Step:
+def _backward_pass(problem, grid, fm, ens, groups, n_levels, below, cost, on_step=None) -> _Step:
     """Fit ``n_levels`` consecutive budget levels in one time-major pass.
 
-    ``ens`` is (pre-switch states, post-switch states, fit rows per
-    (mode, step), terminal reward at the pre-switch horizon states).
-    From the horizon down, the regression targets of every level at step
-    i are the pre-switch values at step i+1, so each step builds its
-    designs once and makes one multi-column fit per mode.  ``below`` is
-    the post-switch table (n_steps, n_modes, n_rows) of the level under
-    the lowest one, None when the range starts at level 0; ``cost``
-    holds the switch cost matrix per step.  Only one step's tables are
-    alive at a time; ``on_step`` sees each step's record and the step-0
-    record is returned.
+    ``ens`` is (pre-switch states, post-switch states, absolute fit rows
+    per (group, mode, step), terminal reward at the pre-switch horizon
+    states).  Each of the contiguous row slices ``groups`` is fitted on
+    its own rows only.  From the horizon down, the regression targets of
+    every level at step i are the pre-switch values at step i+1, so each
+    step builds its designs once and makes one multi-column fit per group
+    and mode.  ``below`` is the post-switch table (n_steps, n_modes,
+    n_rows) of the level under the lowest one, None when the range starts
+    at level 0; ``cost`` holds the switch cost matrix per step.  Only one
+    step's tables are alive at a time; ``on_step`` sees each step's
+    record and the step-0 record is returned.
     """
     pre, post, fit_rows, g_pre = ens
     pres = problem.dynamics.presegment(grid)
     n = grid.n_steps
     m = problem.modes.n_modes
-    n_rows = pre.shape[0]
-    nxt = np.broadcast_to(g_pre, (n_levels, m, n_rows))
+    nxt = np.broadcast_to(g_pre, (n_levels, m, pre.shape[0]))
     for i in range(n - 1, -1, -1):
         y_del = _lookback(post, pres, i) if pres.shape[0] else None
         A_post = fm.design(post[:, i], y_del)
         A_pre = fm.design(pre[:, i], y_del)
-        coef = np.empty((m, n_levels, A_post.shape[1]))
-        target_range = np.empty((m, n_levels, 2))
+        coef = np.empty((len(groups), m, n_levels, A_post.shape[1]))
+        target_range = np.empty((len(groups), m, n_levels, 2))
         fits = []
         n_empty = 0
-        for b in problem.modes.labels:
-            rows = fit_rows[(b, i)]
-            if rows.size:
+        for g, rows_g in enumerate(groups):
+            for b in problem.modes.labels:
+                rows = fit_rows[(g, b, i)]
+                if not rows.size:
+                    rows = rows_g
+                    n_empty += 1
                 F = A_post[rows]
                 target = nxt[:, b - 1, rows].T
-            else:
-                F = A_post
-                target = nxt[:, b - 1].T
-                n_empty += 1
-            c, info = _fit(F, target)
-            coef[b - 1] = c.T
-            target_range[b - 1, :, 0] = target.min(axis=0)
-            target_range[b - 1, :, 1] = target.max(axis=0)
-            fits.append((F, info))
+                c, info = _fit(F, target)
+                coef[g, b - 1] = c.T
+                target_range[g, b - 1, :, 0] = target.min(axis=0)
+                target_range[g, b - 1, :, 1] = target.max(axis=0)
+                fits.append((F, info))
         tab, moved = _level_values(
             problem, fm, grid.times[i], grid.step, pre[:, i], y_del, A_pre, coef, target_range,
-            None if below is None else below[i], cost[i],
+            None if below is None else below[i], cost[i], groups,
         )
         step = _Step(i, tab, moved, coef, target_range, A_pre, fits, n_empty)
         if on_step is not None:
             on_step(step)
         nxt = tab
     return step
+
+
+def _fit_rows(mode_of_step, labels, groups):
+    """Absolute indices of each group's rows in mode b across step i, keyed (group, b, i)."""
+    return {(g, b, i): rows.start + np.flatnonzero(mode_of_step[rows, i] == b)
+            for g, rows in enumerate(groups) for b in labels for i in range(mode_of_step.shape[1] - 1)}
 
 
 @dataclass
@@ -409,7 +422,7 @@ class ValueSurface:
 
     def _tab_eval(
         self, i: int, x: np.ndarray, y: np.ndarray, k_hi: Optional[int] = None, *,
-        moved_only: bool = False,
+        moved_only: bool = False, design: Optional[np.ndarray] = None,
     ):
         """Value tables at interior index i for budgets 0..k_hi.
 
@@ -422,17 +435,16 @@ class ValueSurface:
 
         The policy reads only ``moved`` and passes ``moved_only``: the
         pre-switch side is then not computed and ``tab`` comes back as
-        None.
+        None.  ``design`` is the design at ``x`` if the caller has built it.
         """
         if not 0 <= i < self.grid.n_steps:
             raise ValueError("value tables live on interior grid indices")
         levels = (self.k_levels if k_hi is None else k_hi) + 1
-        yv = y if self.use_delay else None
-        A = None if moved_only else self.feature_map.design(x, yv)
         return _level_values(
-            self.problem, self.feature_map, self.grid.times[i], self.grid.step, x, yv,
-            A, self.coef[i, :, :levels], self.target_range[i, :, :levels], None,
-            self.switch_cost[i],
+            self.problem, self.feature_map, self.grid.times[i], self.grid.step, x,
+            y if self.use_delay else None, design, self.coef[None, i, :, :levels],
+            self.target_range[None, i, :, :levels], None, self.switch_cost[i],
+            moved_only=moved_only,
         )
 
     def value_at(self, k: int, b: int, i: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -585,11 +597,9 @@ def solve(
     if not check.ok:
         raise ValueError(f"jump maps declared target_only are not: {check.detail}")
 
-    fit_rows = {
-        (b, i): np.flatnonzero(mode_of_step[:, i] == b) for b in labels for i in range(n)
-    }
+    whole = [slice(0, P)]
     g_pre = np.asarray(problem.reward.terminal(pre[:, n]), dtype=float)
-    ens_full = (pre, post, fit_rows, g_pre)
+    ens_full = (pre, post, _fit_rows(mode_of_step, labels, whole), g_pre)
     cost = np.stack([_switch_costs(problem, t) for t in grid.times[:n]])
 
     diag = SolveDiagnostics(k_max_requested=k_max)
@@ -616,8 +626,8 @@ def solve(
         def record(step: _Step):
             i = step.i
             moved_k[i] = step.moved[0]
-            coef[i, :, k] = step.coef[:, 0]
-            target_range[i, :, k] = step.target_range[:, 0]
+            coef[i, :, k] = step.coef[0, :, 0]
+            target_range[i, :, k] = step.target_range[0, :, 0]
             diag.empty_subset_fits += step.n_empty
             for b, (F, info) in zip(labels, step.fits):
                 if info.rank_deficient:
@@ -628,7 +638,7 @@ def solve(
                     probe_vals[(b, i)] = step.tab[0, b - 1, :q]
                     probe_ses[(b, i)] = _prediction_se(F, info.resid_std[0], step.A_pre[:q])
 
-        first = _backward_pass(problem, grid, fm, ens_full, 1, below, cost, record)
+        first = _backward_pass(problem, grid, fm, ens_full, whole, 1, below, cost, record)
         for b, (F, info) in zip(labels, first.fits):
             root_value[(k, b)] = float(first.tab[0, b - 1, 0])
             root_se[(k, b)] = float(_prediction_se(F, info.resid_std[0], first.A_pre[:1])[0])
@@ -685,23 +695,18 @@ def solve(
     # sampling error of the whole recursion.  Rerunning the pass on
     # independent path blocks and reading the spread of their roots
     # captures that propagated noise; the design SE stays as a floor.
-    # The stopping level is known by now, so each block fits all its
-    # levels in one time-major pass.
+    # The stopping level is known by now, so the blocks are the groups of
+    # one time-major pass that fits all their levels.
     n_blocks = min(SE_BLOCKS, P // 2)
     if n_blocks >= 2:
         edges = np.linspace(0, P, n_blocks + 1).astype(int)
+        blocks = [slice(lo_e, hi_e) for lo_e, hi_e in zip(edges[:-1], edges[1:])]
+        ens_blk = (pre, post, _fit_rows(mode_of_step, labels, blocks), g_pre)
+        first = _backward_pass(problem, grid, fm, ens_blk, blocks, k_final + 1, None, cost)
         block_roots = {key: [] for key in root_value}
-        for lo_e, hi_e in zip(edges[:-1], edges[1:]):
-            rows_blk = np.arange(lo_e, hi_e)
-            rows_map = {
-                (b, i): np.flatnonzero(mode_of_step[rows_blk, i] == b)
-                for b in labels
-                for i in range(n)
-            }
-            ens_blk = (pre[rows_blk], post[rows_blk], rows_map, g_pre[rows_blk])
-            first = _backward_pass(problem, grid, fm, ens_blk, k_final + 1, None, cost)
+        for blk in blocks:
             for b in labels:
-                fitted = _isotonic(first.tab[:, b - 1, 0])
+                fitted = _isotonic(first.tab[:, b - 1, blk.start])
                 for k in range(k_final + 1):
                     block_roots[(k, b)].append(float(fitted[k]))
         for key, vals_blk in block_roots.items():
@@ -758,8 +763,9 @@ class Policy:
         surf = self.surface
         if i >= surf.grid.n_steps or self.k < 1:
             return np.zeros(x.shape[0], dtype=np.int64)
-        cont = surf._continuation(self.k, b, i, x, surf.design(x, y))
-        _, moved = surf._tab_eval(i, x, y, k_hi=self.k - 1, moved_only=True)
+        A = surf.design(x, y)
+        cont = surf._continuation(self.k, b, i, x, A)
+        _, moved = surf._tab_eval(i, x, y, k_hi=self.k - 1, moved_only=True, design=A)
         # The +inf diagonal rules out staying; argmax keeps the lowest
         # label among tied targets.
         cand = moved[self.k - 1] - surf.switch_cost[i, b - 1][:, None]

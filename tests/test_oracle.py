@@ -1,6 +1,7 @@
 """Exact lattice oracle: node counts, backward induction, exhaustive enumeration."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -150,3 +151,22 @@ def test_oracle_table_values_finite():
     vals = exact_dp(inst, k_max=2, with_table=True)
     assert len(vals.table) > 0
     assert all(np.isfinite(v) for v in vals.table.values())
+
+
+def test_oracle_restores_the_recursion_limit():
+    # Both recursions need more room than the default limit; they must
+    # hand it back, also when the enumeration gives up.
+    problem, grid = random_tree_problem(seed=0, levels=3)
+    inst = build_lattice(problem, grid, branching=2)
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        exact = exact_dp(inst, k_max=2).root_value(2, problem.modes.initial)
+        assert sys.getrecursionlimit() == 1000
+        assert enumerate_controls(inst, k_max=2).value == pytest.approx(exact, abs=1e-12)
+        assert sys.getrecursionlimit() == 1000
+        with pytest.raises(RuntimeError, match="contexts"):
+            enumerate_controls(inst, k_max=2, max_contexts=5)
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(before)

@@ -21,6 +21,9 @@ from switchmc.sdde import (
     sample_noise_batch,
     simulate_batch,
     simulate_path,
+    _draw_one,
+    _draw_tables,
+    _noise_batch,
 )
 
 
@@ -125,6 +128,31 @@ def test_batch_prefix_equals_smaller_batch(quantization):
     assert big[1].sum() > 0
     for whole, part in zip(big, small):
         assert np.array_equal(whole[:40], part)
+
+
+@pytest.mark.parametrize("quantization", [None, 2])
+def test_batch_streams_are_the_spawned_children(quantization):
+    # Path p draws from child p of SeedSequence(seed).spawn(n_paths): its
+    # noise first, then whatever the hook reads from the same stream.
+    spec = two_mark_spec()
+    grid = TimeGrid(1.0, 8)
+    seen = {}
+
+    def then(p, rng):
+        seen[p] = (rng.bit_generator.seed_seq, rng.random(3))
+
+    dw, counts = _noise_batch(spec, grid, 23, 50, quantization, then=then)
+    tables = _draw_tables(spec, grid, quantization)
+    for p, child in enumerate(np.random.SeedSequence(23).spawn(50)):
+        rng = np.random.default_rng(child)
+        ref_dw, ref_counts = _draw_one(rng, spec, grid, tables)
+        seq, extra = seen[p]
+        assert (seq.entropy, seq.spawn_key, seq.pool_size) == (
+            child.entropy, child.spawn_key, child.pool_size
+        )
+        assert np.array_equal(dw[p], ref_dw)
+        assert np.array_equal(counts[p], ref_counts)
+        assert np.array_equal(extra, rng.random(3))
 
 
 def test_noise_determinism_and_zero_intensity():

@@ -14,8 +14,9 @@ from switchmc.controls import JumpMapFamily, SwitchingProblem, validate_target_o
 from switchmc.families import pure_cost_problem, two_mode_flow_problem
 from switchmc.hydro import HydroParams, build_hydro_problem
 from switchmc.oracle import build_lattice, exact_dp
-from switchmc.sdde import DivergedError
+from switchmc.sdde import DivergedError, _lookback
 from switchmc.solver import (
+    SE_BLOCKS,
     FeatureMap,
     Policy,
     ValueSurface,
@@ -24,8 +25,12 @@ from switchmc.solver import (
     extract_policy,
     solve,
     surface_to_csv,
+    _backward_pass,
     _fit,
+    _fit_rows,
+    _level_values,
     _randomized_ensemble,
+    _switch_costs,
 )
 
 
@@ -121,6 +126,93 @@ def test_pinned_solve_and_certify(name):
     assert surf.diagnostics.converged == pin["converged"]
     assert report.switch_histogram == pin["histogram"]
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == pin["csv_sha256"]
+
+
+def _grouped_and_per_block_passes(problem, grid, fm, n_paths, seed, quantization, levels):
+    """Step records of the grouped standard-error pass and of the per-block loop it replaced."""
+    pre, post, mode_of_step, _ = _randomized_ensemble(
+        problem, grid, n_paths, seed, quantization, 0.15
+    )
+    n = grid.n_steps
+    labels = problem.modes.labels
+    g_pre = np.asarray(problem.reward.terminal(pre[:, n]), dtype=float)
+    cost = np.stack([_switch_costs(problem, t) for t in grid.times[:n]])
+    edges = np.linspace(0, n_paths, SE_BLOCKS + 1).astype(int)
+    blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    grouped = []
+    ens = (pre, post, _fit_rows(mode_of_step, labels, blocks), g_pre)
+    _backward_pass(problem, grid, fm, ens, blocks, levels, None, cost, grouped.append)
+    # The reference copies each block's rows, maps its fit rows and runs
+    # one pass per block, as solve did before the blocks became groups.
+    per_block = []
+    for blk in blocks:
+        rows = np.arange(blk.start, blk.stop)
+        fit_rows = {
+            (0, b, i): np.flatnonzero(mode_of_step[rows, i] == b) for b in labels for i in range(n)
+        }
+        steps = []
+        ens_blk = (pre[rows], post[rows], fit_rows, g_pre[rows])
+        _backward_pass(problem, grid, fm, ens_blk, [slice(0, rows.size)], levels, None, cost,
+                       steps.append)
+        per_block.append(steps)
+    return blocks, grouped, per_block
+
+
+@pytest.mark.parametrize("name", ["hydro", "delay", "jumps"])
+def test_grouped_pass_equals_the_per_block_loop(name):
+    if name == "hydro":
+        problem, grid = build_hydro_problem(HydroParams(n_steps=8))
+        args = (FeatureMap(cross_terms=False), 300, 3, None, 9)
+    elif name == "delay":
+        problem, grid = delay_instance()
+        args = (FeatureMap(degree=3), 800, 5, 2, 4)
+    else:
+        problem, grid = jumps_instance()
+        args = (FeatureMap(), 800, 6, 2, 4)
+    blocks, grouped, per_block = _grouped_and_per_block_passes(problem, grid, *args)
+    assert any(step.n_empty for step in grouped) == (name == "hydro")
+    for g, (blk, steps) in enumerate(zip(blocks, per_block)):
+        # The block roots solve reads.
+        assert np.array_equal(grouped[-1].tab[:, :, blk.start], steps[-1].tab[:, :, 0])
+        for mine, ref in zip(grouped, steps):
+            assert mine.i == ref.i
+            assert np.array_equal(mine.tab[:, :, blk], ref.tab)
+            assert np.array_equal(mine.moved[:, :, blk], ref.moved)
+            assert np.array_equal(mine.coef[g], ref.coef[0])
+            assert np.array_equal(mine.target_range[g], ref.target_range[0])
+
+
+@pytest.mark.parametrize("name", ["hydro", "identity"])
+def test_level_values_builds_each_distinct_design_once(name, monkeypatch):
+    # Hydro's reset writes only the upstream turbine level, so its six
+    # targets share three post-switch states; identity resets share the
+    # pre-switch design.
+    if name == "hydro":
+        problem, grid = build_hydro_problem(HydroParams(n_steps=8))
+        fm, extra = FeatureMap(cross_terms=False), 3
+    else:
+        problem, grid = delay_instance()
+        fm, extra = FeatureMap(), 0
+    pre, post, _, _ = _randomized_ensemble(problem, grid, 200, 1, None, 0.15)
+    i = 3
+    x, yv = pre[:, i], _lookback(post, problem.dynamics.presegment(grid), i)
+    A = fm.design(x, yv)
+    m, p = problem.modes.n_modes, A.shape[1]
+    args = (np.zeros((1, m, 2, p)), np.zeros((1, m, 2, 2)), None,
+            _switch_costs(problem, grid.times[i]))
+    built = []
+    design = FeatureMap.design
+
+    def counting(self, *args):
+        built.append(args[0])
+        return design(self, *args)
+
+    monkeypatch.setattr(FeatureMap, "design", counting)
+    for A_in, moved_only, want in ((A, False, extra), (A, True, extra), (None, False, extra + 1)):
+        built.clear()
+        _level_values(problem, fm, grid.times[i], grid.step, x, yv, A_in, *args,
+                      moved_only=moved_only)
+        assert len(built) == want
 
 
 def test_two_mode_deterministic_exact():
