@@ -127,6 +127,9 @@ class JumpMapFamily:
     alone), which lets the regression solver close same-instant switch
     chains over one moved-state table per target mode;
     :func:`validate_target_only` checks the declaration on probe states.
+    The regression solver may call ``apply`` in a forked child process
+    (see :func:`switchmc.solver.solve`), so it must not rely on side
+    effects.
     """
 
     apply: Callable
@@ -152,7 +155,9 @@ class RewardSpec:
     """Running and terminal rewards.
 
     ``running(t, x, mode) -> (n,)`` and ``terminal(x) -> (n,)`` on batched
-    states, row r of the output depending only on row r of ``x``.
+    states, row r of the output depending only on row r of ``x``.  The
+    regression solver may call them in a forked child process (see
+    :func:`switchmc.solver.solve`), so they must not rely on side effects.
     """
 
     running: Callable

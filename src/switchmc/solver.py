@@ -38,10 +38,16 @@ mode for all levels of the range, and hands the fitted coefficients to
 ``_level_values``, which evaluates continuation and best intervention
 level by level on top of level k_lo-1's post-switch table.  The main
 pass calls it once per level, because it is also the stopping search and
-must not fit levels above the one where the family settles.  Once that
-level is known, the standard-error blocks run as the groups of one pass
-over all their levels: each group is fitted on its own rows, and only the
-fits and the products with their coefficients are per group.
+must not fit levels above the one where the family settles.  The
+standard-error blocks run as the groups of one pass over all levels up to
+that one: each group is fitted on its own rows, and only the fits and the
+products with their coefficients are per group.  On Linux, in a
+single-threaded process with a spare CPU, a forked child runs that block
+pass for every level up to k_max beside the main pass; its block roots
+are taken when the main pass also ends at k_max, and otherwise the child
+is killed and the blocks run inline.  The outputs are identical either
+way, and the child's warnings and exception reach the caller where the
+inline pass would have raised them.
 ``ValueSurface`` stores the coefficients stacked per (step, mode) and
 evaluates value tables for the policy through the same
 ``_level_values``, so decisions compare exactly what training compared.
@@ -56,9 +62,16 @@ reports the gap between the root value and the realized reward.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import json
+import os
+import pickle
+import signal
+import sys
+import threading
+import traceback
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -180,15 +193,14 @@ def _fit(design: np.ndarray, target: np.ndarray):
     return (coef[:, 0] if target.ndim == 1 else coef), info
 
 
-def _prediction_se(fit_design: np.ndarray, resid_std: float, eval_design: np.ndarray) -> np.ndarray:
-    """Regression prediction standard error, using the pruning of ``_fit``."""
-    keep = np.ptp(fit_design, axis=0) != 0.0
-    keep[0] = True
-    reduced = fit_design[:, keep]
+def _prediction_se(info: FitInfo, eval_design: np.ndarray) -> np.ndarray:
+    """Prediction standard error of a fit's first target column, on the columns ``_fit`` kept."""
+    design, keep, _, _ = info.lsq
+    reduced = design[:, keep]
     gram_pinv = np.linalg.pinv(reduced.T @ reduced)
     rows = eval_design[:, keep]
     lev = np.einsum("ij,jk,ik->i", rows, gram_pinv, rows)
-    return resid_std * np.sqrt(np.maximum(lev, 0.0))
+    return info.resid_std[0] * np.sqrt(np.maximum(lev, 0.0))
 
 
 def _isotonic(seq: np.ndarray) -> np.ndarray:
@@ -256,34 +268,38 @@ def _level_values(problem, fm, t, dt, x, yv, A, coef, target_range, below, cost,
     and serves both.  ``moved_only`` skips the pre-switch side, which no
     level of ``moved`` reads, and returns None for ``tab``.  Resets,
     rewards and designs run once over all rows, and each distinct state
-    batch gets one design, found by content (identity resets reuse ``A``).
+    batch gets one design and one running reward per mode, found by
+    content (identity resets reuse ``A`` and the pre-switch rewards).
     """
     levels = coef.shape[2]
     shape = (levels, problem.modes.n_modes, x.shape[0])
     tab = None if moved_only else np.empty(shape)
     moved = np.empty(shape)
     sides = [moved] if tab is None else [tab, moved]
-    built = [] if A is None else [(x, A)]
+    # Per distinct state batch: its design and its running reward by mode.
+    built = [] if A is None else [(x, A, {})]
 
-    def design_at(xs):
-        for seen, D in built:
-            if xs is seen or np.array_equal(xs, seen):
-                return D
-        built.append((xs, fm.design(xs, yv)))
-        return built[-1][1]
+    def at(xs):
+        for entry in built:
+            if xs is entry[0] or np.array_equal(xs, entry[0]):
+                return entry
+        built.append((xs, fm.design(xs, yv), {}))
+        return built[-1]
 
     def fill(side, xs, b):
         # One matrix-vector product per group and level: a matrix-matrix
         # product rounds differently, and exact ties between same-instant
         # switch chains (additive switch costs) would then break
         # differently in the policy than in training.
-        D = design_at(xs)
+        _, D, run = at(xs)
         for rows, c, r in zip(groups, coef[:, b - 1], target_range[:, b - 1]):
             Dg, out = D[rows], side[:, b - 1, rows]
             for lev in range(levels):
                 out[lev] = Dg @ c[lev]
             np.clip(out, r[:, :1], r[:, 1:], out=out)
-        side[:, b - 1] += dt * np.asarray(problem.reward.running(t, xs, b), dtype=float)
+        if b not in run:
+            run[b] = dt * np.asarray(problem.reward.running(t, xs, b), dtype=float)
+        side[:, b - 1] += run[b]
 
     for b in problem.modes.labels:
         if tab is not None:
@@ -309,7 +325,7 @@ class _Step(NamedTuple):
     coef: np.ndarray  # (n_groups, n_modes, L, n_features)
     target_range: np.ndarray  # (n_groups, n_modes, L, 2)
     A_pre: np.ndarray
-    fits: list  # (fit design, FitInfo) per group and mode
+    fits: list  # FitInfo per group and mode
     n_empty: int  # (group, mode) fits with no path in the mode, fitted on the whole group
 
 
@@ -347,13 +363,12 @@ def _backward_pass(problem, grid, fm, ens, groups, n_levels, below, cost, on_ste
                 if not rows.size:
                     rows = rows_g
                     n_empty += 1
-                F = A_post[rows]
                 target = nxt[:, b - 1, rows].T
-                c, info = _fit(F, target)
+                c, info = _fit(A_post[rows], target)
                 coef[g, b - 1] = c.T
                 target_range[g, b - 1, :, 0] = target.min(axis=0)
                 target_range[g, b - 1, :, 1] = target.max(axis=0)
-                fits.append((F, info))
+                fits.append(info)
         tab, moved = _level_values(
             problem, fm, grid.times[i], grid.step, pre[:, i], y_del, A_pre, coef, target_range,
             None if below is None else below[i], cost[i], groups,
@@ -369,6 +384,92 @@ def _fit_rows(mode_of_step, labels, groups):
     """Absolute indices of each group's rows in mode b across step i, keyed (group, b, i)."""
     return {(g, b, i): rows.start + np.flatnonzero(mode_of_step[rows, i] == b)
             for g, rows in enumerate(groups) for b in labels for i in range(mode_of_step.shape[1] - 1)}
+
+
+def _may_fork() -> bool:
+    """Whether a forked child can run beside this process: Linux, one thread, a spare CPU."""
+    return (hasattr(os, "fork") and sys.platform.startswith("linux")
+            and threading.active_count() == 1 and len(os.sched_getaffinity(0)) > 1)
+
+
+def _recorded(fn, args) -> bytes:
+    """Pickled (result, warnings, exception, traceback) of ``fn(*args)``.
+
+    Warnings are recorded, not shown, each with the name of the module
+    that raised it; empty bytes when the outcome does not pickle.
+    """
+    value = exc = tb = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = fn(*args)
+        except BaseException as e:
+            exc, tb = e, traceback.format_exc()
+    files = {getattr(mod, "__file__", None): name for name, mod in list(sys.modules.items())}
+    shown = [(w.message, w.category, w.filename, w.lineno, files.get(w.filename)) for w in caught]
+    try:
+        return pickle.dumps((value, shown, exc, tb))
+    except Exception:
+        return b""
+
+
+class _Child:
+    """``fn(*args)`` computed in a forked child process.
+
+    ``result`` waits for the child and re-issues its warnings, in order,
+    under this process's filters and warning registries, as if they were
+    raised here; it then re-raises the child's exception or returns its
+    result.  It returns None when the child sent nothing usable (it died,
+    or its outcome did not pickle), so the caller can compute inline.
+    ``cancel`` kills and reaps the child; it is a no-op once the child is
+    reaped, so it can sit in a ``finally``.
+    """
+
+    def __init__(self, fn, *args):
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            try:
+                os.close(read)
+                with os.fdopen(write, "wb") as out:
+                    out.write(_recorded(fn, args))
+            finally:
+                os._exit(0)
+        os.close(write)
+        self.fd = read
+
+    def result(self):
+        try:
+            with os.fdopen(self.fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+        finally:
+            self.cancel()
+        if not data:
+            return None
+        value, shown, exc, tb = pickle.loads(data)
+        for message, category, filename, lineno, module in shown:
+            mod = sys.modules.get(module)
+            registry = None if mod is None else vars(mod).setdefault("__warningregistry__", {})
+            warnings.warn_explicit(message, category, filename, lineno, module, registry)
+        if exc is not None:
+            if hasattr(exc, "add_note"):
+                exc.add_note(f"raised in a forked child process:\n{tb}")
+            raise exc
+        return value
+
+    def cancel(self) -> None:
+        if self.pid is None:
+            return
+        pid, self.pid = self.pid, None
+        os.close(self.fd)
+        with contextlib.suppress(ProcessLookupError, ChildProcessError):  # reaped by SIG_IGN
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 @dataclass
@@ -558,7 +659,9 @@ def solve(
     three paired standard errors) fall below 1e-3 * (1 + |root value|);
     otherwise runs to k_max and flags the surface as unconverged (with a
     warning carrying the last gap).  ``explore_prob`` is the per-instant
-    mode re-roll probability of the training ensemble.
+    mode re-roll probability of the training ensemble.  The
+    standard-error blocks may run in a forked child (see the module
+    docstring), so the problem's callables must not rely on side effects.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
@@ -629,84 +732,106 @@ def solve(
             coef[i, :, k] = step.coef[0, :, 0]
             target_range[i, :, k] = step.target_range[0, :, 0]
             diag.empty_subset_fits += step.n_empty
-            for b, (F, info) in zip(labels, step.fits):
+            for b, info in zip(labels, step.fits):
                 if info.rank_deficient:
                     diag.rank_deficient_fits += 1
                 if info.used_ridge:
                     diag.ridge_fits += 1
                 if i in probe_times:
                     probe_vals[(b, i)] = step.tab[0, b - 1, :q]
-                    probe_ses[(b, i)] = _prediction_se(F, info.resid_std[0], step.A_pre[:q])
+                    probe_ses[(b, i)] = _prediction_se(info, step.A_pre[:q])
 
         first = _backward_pass(problem, grid, fm, ens_full, whole, 1, below, cost, record)
-        for b, (F, info) in zip(labels, first.fits):
+        for b, info in zip(labels, first.fits):
             root_value[(k, b)] = float(first.tab[0, b - 1, 0])
-            root_se[(k, b)] = float(_prediction_se(F, info.resid_std[0], first.A_pre[:1])[0])
+            root_se[(k, b)] = float(_prediction_se(info, first.A_pre[:1])[0])
         keys = [(b, i) for b in labels for i in probe_times]
         diag.probe_values[k] = np.concatenate([probe_vals[key] for key in keys])
         diag.probe_se[k] = np.concatenate([probe_ses[key] for key in keys])
         return moved_k
 
-    # The main pass runs level by level: it is the stopping search, and
-    # no level above the stopping one gets fitted.
-    moved_prev = main_level(0, None)
-    k_final = 0
-    for k in range(1, k_max + 1):
-        moved_prev = main_level(k, moved_prev)
-        root_gap = max(abs(root_value[(k, b)] - root_value[(k - 1, b)]) for b in labels)
-        probe_diff = np.abs(diag.probe_values[k] - diag.probe_values[k - 1])
-        probe_gap = float(np.max(probe_diff))
-        # A probe only counts as unsettled when its change is resolvable:
-        # larger than three paired standard errors.  Noise-free problems
-        # have zero SE, so this nets out to the raw gap there.
-        pair_se = np.hypot(diag.probe_se[k], diag.probe_se[k - 1])
-        probe_gap_net = float(np.max(np.maximum(probe_diff - 3.0 * pair_se, 0.0)))
-        gap = max(root_gap, probe_gap_net)
-        diag.gap_by_k.append(
-            {
-                "k": k,
-                "gap": gap,
-                "root_gap": root_gap,
-                "probe_gap": probe_gap,
-                "probe_gap_net": probe_gap_net,
-                "min_probe_increment": float(
-                    np.min(diag.probe_values[k] - diag.probe_values[k - 1])
-                ),
-            }
-        )
-        k_final = k
-        y0_k = root_value[(k, modes.initial)]
-        if gap < GAP_TOL_SCALE * (1.0 + abs(y0_k)):
-            diag.converged = True
-            break
-    diag.k_levels = k_final
-    diag.final_gap = diag.gap_by_k[-1]["gap"] if diag.gap_by_k else 0.0
-    for b in labels:
-        fitted = _isotonic(np.array([root_value[(k, b)] for k in range(k_final + 1)]))
-        for k in range(k_final + 1):
-            root_value[(k, b)] = float(fitted[k])
-    probe_stack = np.vstack([diag.probe_values[k] for k in range(k_final + 1)])
-    for col in range(probe_stack.shape[1]):
-        probe_stack[:, col] = _isotonic(probe_stack[:, col])
-    for k in range(k_final + 1):
-        diag.probe_values[k] = probe_stack[k]
     # The design-conditional root SE treats the regression targets as
     # data, but they are themselves fitted, so it badly understates the
     # sampling error of the whole recursion.  Rerunning the pass on
     # independent path blocks and reading the spread of their roots
     # captures that propagated noise; the design SE stays as a floor.
-    # The stopping level is known by now, so the blocks are the groups of
-    # one time-major pass that fits all their levels.
+    # The blocks are the groups of one time-major pass that fits all
+    # their levels, so they need from the main pass only its stopping
+    # level.
     n_blocks = min(SE_BLOCKS, P // 2)
-    if n_blocks >= 2:
-        edges = np.linspace(0, P, n_blocks + 1).astype(int)
-        blocks = [slice(lo_e, hi_e) for lo_e, hi_e in zip(edges[:-1], edges[1:])]
+    edges = np.linspace(0, P, n_blocks + 1).astype(int)
+    blocks = [slice(lo_e, hi_e) for lo_e, hi_e in zip(edges[:-1], edges[1:])]
+
+    def run_blocks(levels: int) -> np.ndarray:
+        """Each block's raw root values, (levels, n_modes, n_blocks)."""
         ens_blk = (pre, post, _fit_rows(mode_of_step, labels, blocks), g_pre)
-        first = _backward_pass(problem, grid, fm, ens_blk, blocks, k_final + 1, None, cost)
+        first = _backward_pass(problem, grid, fm, ens_blk, blocks, levels, None, cost)
+        return first.tab[:, :, edges[:-1]]
+
+    # With a spare CPU, a forked child runs the blocks for every level up
+    # to k_max beside the main pass.  Its roots are taken when the main
+    # pass also ends at k_max; otherwise it is killed and the blocks run
+    # here.  Either way the roots come from the same call on the same
+    # inputs.
+    child = None
+    if n_blocks >= 2 and _may_fork():
+        with contextlib.suppress(OSError):  # no fork, no speculation
+            child = _Child(run_blocks, k_max + 1)
+    try:
+        # The main pass runs level by level: it is the stopping search, and
+        # no level above the stopping one gets fitted.
+        moved_prev = main_level(0, None)
+        k_final = 0
+        for k in range(1, k_max + 1):
+            moved_prev = main_level(k, moved_prev)
+            root_gap = max(abs(root_value[(k, b)] - root_value[(k - 1, b)]) for b in labels)
+            probe_diff = np.abs(diag.probe_values[k] - diag.probe_values[k - 1])
+            probe_gap = float(np.max(probe_diff))
+            # A probe only counts as unsettled when its change is resolvable:
+            # larger than three paired standard errors.  Noise-free problems
+            # have zero SE, so this nets out to the raw gap there.
+            pair_se = np.hypot(diag.probe_se[k], diag.probe_se[k - 1])
+            probe_gap_net = float(np.max(np.maximum(probe_diff - 3.0 * pair_se, 0.0)))
+            gap = max(root_gap, probe_gap_net)
+            diag.gap_by_k.append(
+                {
+                    "k": k,
+                    "gap": gap,
+                    "root_gap": root_gap,
+                    "probe_gap": probe_gap,
+                    "probe_gap_net": probe_gap_net,
+                    "min_probe_increment": float(
+                        np.min(diag.probe_values[k] - diag.probe_values[k - 1])
+                    ),
+                }
+            )
+            k_final = k
+            y0_k = root_value[(k, modes.initial)]
+            if gap < GAP_TOL_SCALE * (1.0 + abs(y0_k)):
+                diag.converged = True
+                break
+        diag.k_levels = k_final
+        diag.final_gap = diag.gap_by_k[-1]["gap"] if diag.gap_by_k else 0.0
+        for b in labels:
+            fitted = _isotonic(np.array([root_value[(k, b)] for k in range(k_final + 1)]))
+            for k in range(k_final + 1):
+                root_value[(k, b)] = float(fitted[k])
+        probe_stack = np.vstack([diag.probe_values[k] for k in range(k_final + 1)])
+        for col in range(probe_stack.shape[1]):
+            probe_stack[:, col] = _isotonic(probe_stack[:, col])
+        for k in range(k_final + 1):
+            diag.probe_values[k] = probe_stack[k]
+        roots = child.result() if child is not None and k_final == k_max else None
+    finally:
+        if child is not None:
+            child.cancel()
+    if n_blocks >= 2:
+        if roots is None:
+            roots = run_blocks(k_final + 1)
         block_roots = {key: [] for key in root_value}
-        for blk in blocks:
+        for j in range(n_blocks):
             for b in labels:
-                fitted = _isotonic(first.tab[:, b - 1, blk.start])
+                fitted = _isotonic(roots[:, b - 1, j])
                 for k in range(k_final + 1):
                     block_roots[(k, b)].append(float(fitted[k]))
         for key, vals_blk in block_roots.items():

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from switchmc.controls import JumpMapFamily, SwitchingProblem, validate_target_o
 from switchmc.families import pure_cost_problem, two_mode_flow_problem
 from switchmc.hydro import HydroParams, build_hydro_problem
 from switchmc.oracle import build_lattice, exact_dp
+from switchmc import solver as solver_module
 from switchmc.sdde import DivergedError, _lookback
 from switchmc.solver import (
     SE_BLOCKS,
@@ -213,6 +215,160 @@ def test_level_values_builds_each_distinct_design_once(name, monkeypatch):
         _level_values(problem, fm, grid.times[i], grid.step, x, yv, A_in, *args,
                       moved_only=moved_only)
         assert len(built) == want
+
+
+def _forcing_fork(monkeypatch, fork):
+    """Force the solver's fork predicate; returns the children the solves start."""
+    monkeypatch.setattr(solver_module, "_may_fork", lambda: fork)
+    children = []
+
+    class Spy(solver_module._Child):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.used = False
+            children.append(self)
+
+        def result(self):
+            self.used = True
+            return super().result()
+
+    monkeypatch.setattr(solver_module, "_Child", Spy)
+    return children
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _with_running(problem, running):
+    return dataclasses.replace(problem, reward=dataclasses.replace(problem.reward, running=running))
+
+
+def test_level_values_computes_each_running_reward_once(monkeypatch):
+    # Identity resets leave the states unchanged, so each mode's running
+    # reward at the moved states is the pre-switch one.
+    _forcing_fork(monkeypatch, False)
+    problem, grid = delay_instance()
+    calls = []
+    running = problem.reward.running
+
+    def counting(t, x, b):
+        calls[-1].append(b)
+        return running(t, x, b)
+
+    level_values = solver_module._level_values
+
+    def per_call(*args, **kwargs):
+        calls.append([])
+        return level_values(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_level_values", per_call)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        surf = solve(_with_running(problem, counting), grid, k_max=3, n_paths=800, seed=5,
+                     quantization=2)
+    assert surf.k_levels == 3
+    # 4 main-pass levels and one block pass, over 6 steps, once per mode.
+    assert sum(map(len, calls)) == (4 + 1) * 6 * 2 == 60
+    assert all(sorted(modes) == [1, 2] for modes in calls)
+
+
+def _pinned_problem(name):
+    if name == "hydro":
+        problem, grid = build_hydro_problem(HydroParams(n_steps=8))
+        return problem, grid, dict(feature_map=FeatureMap(cross_terms=False), n_paths=300, seed=3)
+    problem, grid = two_mode_flow_problem(n_steps=8)
+    return problem, grid, dict(n_paths=2000, seed=0)
+
+
+@pytest.mark.parametrize("name", ["hydro", "flow"])
+def test_forked_blocks_give_the_inline_outputs(name, monkeypatch):
+    # Hydro stops unconverged at k_max, so its block roots come from the
+    # child; flow converges early, so its child is killed.
+    problem, grid, kwargs = _pinned_problem(name)
+    outputs = []
+    for fork in (True, False):
+        children = _forcing_fork(monkeypatch, fork)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            surf = solve(problem, grid, **kwargs)
+        assert [child.used for child in children] == ([name == "hydro"] if fork else [])
+        _assert_no_child_left()
+        buf = io.StringIO()
+        surface_to_csv(surf, buf)
+        outputs.append((surf.root_se, surf.y0_se, diagnostics_to_json(surf.diagnostics),
+                        buf.getvalue(), [(w.category, str(w.message)) for w in caught]))
+    assert outputs[0] == outputs[1]
+
+
+class BlockPassError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_block_pass_exception_reaches_the_caller(fork, monkeypatch):
+    children = _forcing_fork(monkeypatch, fork)
+    backward_pass = solver_module._backward_pass
+    raised_here = []  # a forked child's appends stay in the child
+
+    def failing(problem, grid, fm, ens, groups, *args):
+        if len(groups) > 1:
+            raised_here.append(True)
+            raise BlockPassError(f"no fit on {len(groups)} blocks")
+        return backward_pass(problem, grid, fm, ens, groups, *args)
+
+    monkeypatch.setattr(solver_module, "_backward_pass", failing)
+    problem, grid, kwargs = _pinned_problem("hydro")
+    with pytest.raises(BlockPassError) as info:
+        solve(problem, grid, **kwargs)
+    assert str(info.value) == "no fit on 8 blocks"
+    assert (len(children), len(raised_here)) == ((1, 0) if fork else (0, 1))
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_a_raising_main_pass_reaps_the_child(error, monkeypatch):
+    children = _forcing_fork(monkeypatch, True)
+    backward_pass = solver_module._backward_pass
+
+    def failing(problem, grid, fm, ens, groups, n_levels, below, *args):
+        if below is not None:
+            raise error("main pass failed at level 1")
+        return backward_pass(problem, grid, fm, ens, groups, n_levels, below, *args)
+
+    monkeypatch.setattr(solver_module, "_backward_pass", failing)
+    problem, grid, kwargs = _pinned_problem("hydro")
+    with pytest.raises(error, match="at level 1"):
+        solve(problem, grid, **kwargs)
+    assert len(children) == 1 and not children[0].used
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("action", ["always", "default"])
+def test_problem_warnings_issued_as_often_as_inline(action, monkeypatch):
+    # Under "default" each warning location shows once, so the child's
+    # warnings must meet the registry the main pass already filled.
+    problem, grid, kwargs = _pinned_problem("hydro")
+    running = problem.reward.running
+
+    def warning(t, x, b):
+        warnings.warn(f"running reward of mode {b}", UserWarning)
+        return running(t, x, b)
+
+    problem = _with_running(problem, warning)
+    seen = []
+    for fork in (True, False):
+        children = _forcing_fork(monkeypatch, fork)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            solve(problem, grid, **kwargs)
+        assert [child.used for child in children] == ([True] if fork else [])
+        seen.append([(w.category, str(w.message), w.filename, w.lineno) for w in caught])
+    assert seen[0] == seen[1]
+    # One per mode and the unsettled-family warning, or one per call.
+    n_shown = problem.modes.n_modes + 1
+    assert len(seen[0]) == n_shown if action == "default" else len(seen[0]) > 100 * n_shown
 
 
 def test_two_mode_deterministic_exact():
