@@ -28,18 +28,30 @@ them.
 
 Per-path random streams are spawned from the root seed with
 ``numpy.random.SeedSequence``, so path p's noise depends only on the
-seed and p: the first paths of a batch equal a smaller batch.
+seed and p: the first paths of a batch equal a smaller batch.  On Linux,
+in a single-threaded process with a spare CPU, a batch of at least
+``FORK_MIN_PATHS`` paths is drawn in two halves, the second in a forked
+child; the outputs are identical either way.  A hook that draws more
+from each stream (the solver's mode draws) may therefore run in the
+child, so it returns its values rather than storing them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from ._fork import _Child, _may_fork
+
 STATE_BOUND = 1e12
+# Batches from this many paths draw their second half in a forked child.
+# A fork and the hand-back of the child's rows cost milliseconds, so
+# smaller batches, which take about as long to draw, stay inline.
+FORK_MIN_PATHS = 1000
 
 __all__ = [
     "TimeGrid",
@@ -74,6 +86,11 @@ class DivergedError(SimulationError):
     def __init__(self, step: int, message: str = ""):
         self.step = step
         super().__init__(message or f"state diverged at step {step}")
+
+    def __reduce__(self):
+        # Rebuild from (step, message): the default, type(self)(*self.args),
+        # would pass the message as the step.
+        return type(self), (self.step, str(self)), self.__dict__
 
 
 @dataclass(frozen=True)
@@ -314,18 +331,56 @@ def sample_noise(spec: SddeSpec, grid: TimeGrid, seed: int, quantization: Option
     return NoiseDraw(brownian=dw, jump_counts=counts, seed=seed)
 
 
-def _noise_batch(spec: SddeSpec, grid: TimeGrid, seed: int, n_paths: int, quantization, then=None):
-    """``sample_noise_batch`` with a hook: ``then(p, rng)`` may draw more from path p's stream."""
-    tables = _draw_tables(spec, grid, quantization)
-    dw = np.empty((n_paths, grid.n_steps, spec.brownian_dim))
-    counts = np.empty((n_paths, grid.n_steps, spec.n_marks), dtype=np.int64)
-    for p in range(n_paths):
+def _draw_paths(spec: SddeSpec, grid: TimeGrid, seed: int, tables, then, lo: int, hi: int, out: list):
+    """Draw paths [lo, hi) of a batch into those rows of the arrays in ``out``; returns the rows.
+
+    ``out`` starts as the noise arrays; the hook's arrays are appended,
+    batch-sized and shaped by its first return value.
+    """
+    for p in range(lo, hi):
         # Child p of SeedSequence(seed).spawn(n_paths), built as the loop reaches it.
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p,)))
-        dw[p], counts[p] = _draw_one(rng, spec, grid, tables)
+        values = _draw_one(rng, spec, grid, tables)
         if then is not None:
-            then(p, rng)
-    return dw, counts
+            values += tuple(then(p, rng))
+        for v in values[len(out):]:
+            out.append(np.empty((len(out[0]),) + np.shape(v), dtype=np.asarray(v).dtype))
+        for arr, v in zip(out, values):
+            arr[p] = v
+    return [arr[lo:hi] for arr in out]
+
+
+def _noise_batch(spec: SddeSpec, grid: TimeGrid, seed: int, n_paths: int, quantization, then=None):
+    """``sample_noise_batch`` with a hook that draws more from each path's stream.
+
+    ``then(p, rng)`` runs after path p's noise and returns a tuple of
+    values, each of one shape and dtype for every path; they come back
+    stacked over the paths after the noise arrays.
+    From ``FORK_MIN_PATHS`` paths on, when ``_may_fork()`` holds, a forked
+    child draws the second half of the batch while this process draws the
+    first.  Each path keeps its own stream, so the outputs are the same.
+    """
+    tables = _draw_tables(spec, grid, quantization)
+    out = [np.empty((n_paths, grid.n_steps, spec.brownian_dim)),
+           np.empty((n_paths, grid.n_steps, spec.n_marks), dtype=np.int64)]
+    child = None
+    if n_paths >= FORK_MIN_PATHS and _may_fork():
+        with contextlib.suppress(OSError):  # no fork: draw every path here
+            child = _Child(_draw_paths, spec, grid, seed, tables, then, n_paths // 2, n_paths, out)
+    half = n_paths if child is None else n_paths // 2
+    try:
+        _draw_paths(spec, grid, seed, tables, then, 0, half, out)
+        rest = None if child is None else child.result(into=[arr[half:] for arr in out])
+    finally:
+        if child is not None:
+            child.cancel()
+    if rest is not None:
+        for arr, part in zip(out, rest):
+            if not np.shares_memory(arr, part):  # received elsewhere than into place
+                arr[half:] = part
+    elif half < n_paths:
+        _draw_paths(spec, grid, seed, tables, then, half, n_paths, out)
+    return tuple(out)
 
 
 def sample_noise_batch(spec: SddeSpec, grid: TimeGrid, seed: int, n_paths: int, quantization: Optional[int] = None):

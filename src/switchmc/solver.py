@@ -66,18 +66,13 @@ import contextlib
 import functools
 import io
 import json
-import os
-import pickle
-import signal
-import sys
-import threading
-import traceback
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from ._fork import _Child, _may_fork
 from .controls import SwitchingProblem, reject_history_reward, validate_target_only
 from .sdde import TimeGrid, _euler_step, _lookback, _noise_batch, sample_noise_batch
 
@@ -156,6 +151,13 @@ class FitInfo:
         std = np.sqrt(np.array([r @ r for r in resid]) / max(design.shape[0] - self.rank, 1))
         return float(std[0]) if target.ndim == 1 else std
 
+    @functools.cached_property
+    def gram_pinv(self) -> np.ndarray:
+        """Pseudo-inverse of the Gram matrix of the kept columns; computed on first read."""
+        design, keep, _, _ = self.lsq
+        reduced = design[:, keep]
+        return np.linalg.pinv(reduced.T @ reduced)
+
 
 def _fit(design: np.ndarray, target: np.ndarray):
     """Least squares with constant-column pruning and a ridge fallback.
@@ -195,11 +197,8 @@ def _fit(design: np.ndarray, target: np.ndarray):
 
 def _prediction_se(info: FitInfo, eval_design: np.ndarray) -> np.ndarray:
     """Prediction standard error of a fit's first target column, on the columns ``_fit`` kept."""
-    design, keep, _, _ = info.lsq
-    reduced = design[:, keep]
-    gram_pinv = np.linalg.pinv(reduced.T @ reduced)
-    rows = eval_design[:, keep]
-    lev = np.einsum("ij,jk,ik->i", rows, gram_pinv, rows)
+    rows = eval_design[:, info.lsq[1]]
+    lev = np.einsum("ij,jk,ik->i", rows, info.gram_pinv, rows)
     return info.resid_std[0] * np.sqrt(np.maximum(lev, 0.0))
 
 
@@ -386,92 +385,6 @@ def _fit_rows(mode_of_step, labels, groups):
             for g, rows in enumerate(groups) for b in labels for i in range(mode_of_step.shape[1] - 1)}
 
 
-def _may_fork() -> bool:
-    """Whether a forked child can run beside this process: Linux, one thread, a spare CPU."""
-    return (hasattr(os, "fork") and sys.platform.startswith("linux")
-            and threading.active_count() == 1 and len(os.sched_getaffinity(0)) > 1)
-
-
-def _recorded(fn, args) -> bytes:
-    """Pickled (result, warnings, exception, traceback) of ``fn(*args)``.
-
-    Warnings are recorded, not shown, each with the name of the module
-    that raised it; empty bytes when the outcome does not pickle.
-    """
-    value = exc = tb = None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            value = fn(*args)
-        except BaseException as e:
-            exc, tb = e, traceback.format_exc()
-    files = {getattr(mod, "__file__", None): name for name, mod in list(sys.modules.items())}
-    shown = [(w.message, w.category, w.filename, w.lineno, files.get(w.filename)) for w in caught]
-    try:
-        return pickle.dumps((value, shown, exc, tb))
-    except Exception:
-        return b""
-
-
-class _Child:
-    """``fn(*args)`` computed in a forked child process.
-
-    ``result`` waits for the child and re-issues its warnings, in order,
-    under this process's filters and warning registries, as if they were
-    raised here; it then re-raises the child's exception or returns its
-    result.  It returns None when the child sent nothing usable (it died,
-    or its outcome did not pickle), so the caller can compute inline.
-    ``cancel`` kills and reaps the child; it is a no-op once the child is
-    reaped, so it can sit in a ``finally``.
-    """
-
-    def __init__(self, fn, *args):
-        read, write = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(read)
-            os.close(write)
-            raise
-        if self.pid == 0:
-            try:
-                os.close(read)
-                with os.fdopen(write, "wb") as out:
-                    out.write(_recorded(fn, args))
-            finally:
-                os._exit(0)
-        os.close(write)
-        self.fd = read
-
-    def result(self):
-        try:
-            with os.fdopen(self.fd, "rb", closefd=False) as pipe:
-                data = pipe.read()
-        finally:
-            self.cancel()
-        if not data:
-            return None
-        value, shown, exc, tb = pickle.loads(data)
-        for message, category, filename, lineno, module in shown:
-            mod = sys.modules.get(module)
-            registry = None if mod is None else vars(mod).setdefault("__warningregistry__", {})
-            warnings.warn_explicit(message, category, filename, lineno, module, registry)
-        if exc is not None:
-            if hasattr(exc, "add_note"):
-                exc.add_note(f"raised in a forked child process:\n{tb}")
-            raise exc
-        return value
-
-    def cancel(self) -> None:
-        if self.pid is None:
-            return
-        pid, self.pid = self.pid, None
-        os.close(self.fd)
-        with contextlib.suppress(ProcessLookupError, ChildProcessError):  # reaped by SIG_IGN
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 @dataclass
 class SolveDiagnostics:
     k_levels: int = 0
@@ -602,18 +515,13 @@ def _randomized_ensemble(
     n = grid.n_steps
     pres = spec.presegment(grid)
 
-    u_start = np.empty(n_paths)
-    pick_start = np.empty(n_paths, dtype=np.int64)
-    u_switch = np.empty((n_paths, n))
-    pick_switch = np.empty((n_paths, n), dtype=np.int64)
-
     def mode_draws(p, rng):
-        u_start[p] = rng.random()
-        pick_start[p] = rng.integers(0, m)
-        u_switch[p] = rng.random(n)
-        pick_switch[p] = rng.integers(0, max(m - 1, 1), size=n)
+        return (rng.random(), rng.integers(0, m), rng.random(n),
+                rng.integers(0, max(m - 1, 1), size=n))
 
-    dw, counts = _noise_batch(spec, grid, seed, n_paths, quantization, then=mode_draws)
+    dw, counts, u_start, pick_start, u_switch, pick_switch = _noise_batch(
+        spec, grid, seed, n_paths, quantization, then=mode_draws
+    )
 
     x = np.broadcast_to(spec.initial_state(), (n_paths, spec.dim)).copy()
     mode = np.full(n_paths, modes.initial, dtype=np.int64)

@@ -1,10 +1,13 @@
 """Simulator tests: grid mechanics, noise draws, Euler stepping, delay handling."""
 
 import io
+import os
+import pickle
 
 import numpy as np
 import pytest
 
+from switchmc import sdde as sdde_module
 from switchmc.controls import SwitchingControl
 from switchmc.families import gbm_spec
 from switchmc.sdde import (
@@ -136,23 +139,101 @@ def test_batch_streams_are_the_spawned_children(quantization):
     # noise first, then whatever the hook reads from the same stream.
     spec = two_mark_spec()
     grid = TimeGrid(1.0, 8)
-    seen = {}
+    seen = {}  # 50 paths stay below FORK_MIN_PATHS, so the hook runs here
 
     def then(p, rng):
-        seen[p] = (rng.bit_generator.seed_seq, rng.random(3))
+        seen[p] = rng.bit_generator.seed_seq
+        return (rng.random(3),)
 
-    dw, counts = _noise_batch(spec, grid, 23, 50, quantization, then=then)
+    dw, counts, extras = _noise_batch(spec, grid, 23, 50, quantization, then=then)
     tables = _draw_tables(spec, grid, quantization)
     for p, child in enumerate(np.random.SeedSequence(23).spawn(50)):
         rng = np.random.default_rng(child)
         ref_dw, ref_counts = _draw_one(rng, spec, grid, tables)
-        seq, extra = seen[p]
+        seq = seen[p]
         assert (seq.entropy, seq.spawn_key, seq.pool_size) == (
             child.entropy, child.spawn_key, child.pool_size
         )
         assert np.array_equal(dw[p], ref_dw)
         assert np.array_equal(counts[p], ref_counts)
-        assert np.array_equal(extra, rng.random(3))
+        assert np.array_equal(extras[p], rng.random(3))
+
+
+def _forcing_fork(monkeypatch, fork):
+    """Force the sampler's fork predicate; returns the children the batches start."""
+    monkeypatch.setattr(sdde_module, "_may_fork", lambda: fork)
+    children = []
+
+    class Spy(sdde_module._Child):
+        def __init__(self, *args):
+            super().__init__(*args)
+            children.append(self)
+
+    monkeypatch.setattr(sdde_module, "_Child", Spy)
+    return children
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _mode_draws(p, rng):
+    return rng.random(), rng.integers(0, 3), rng.random(8), rng.integers(0, 2, size=8)
+
+
+@pytest.mark.parametrize("quantization", [None, 2])
+def test_forked_half_gives_the_inline_batch(quantization, monkeypatch):
+    spec = two_mark_spec()
+    grid = TimeGrid(1.0, 8)
+    n_paths = sdde_module.FORK_MIN_PATHS + 1
+    outputs = []
+    for fork in (True, False):
+        children = _forcing_fork(monkeypatch, fork)
+        plain = sample_noise_batch(spec, grid, 41, n_paths, quantization)
+        hooked = _noise_batch(spec, grid, 41, n_paths, quantization, then=_mode_draws)
+        assert len(children) == (2 if fork else 0)
+        _assert_no_child_left()
+        outputs.append(plain + hooked)
+    assert outputs[0][0][:, :, 0].std() > 0 and outputs[0][1].sum() > 0
+    assert len(outputs[0]) == len(outputs[1]) == 8
+    for forked, inline in zip(*outputs):
+        assert forked.dtype == inline.dtype
+        assert np.array_equal(forked, inline)
+
+
+class HookError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fork", [True, False])
+@pytest.mark.parametrize("error, last_half", [(HookError, True), (KeyboardInterrupt, False)])
+def test_hook_exception_reaches_the_caller_and_reaps_the_child(error, last_half, fork, monkeypatch):
+    # The last path is in the child's half, the first in this process's.
+    children = _forcing_fork(monkeypatch, fork)
+    n_paths = sdde_module.FORK_MIN_PATHS + 1
+    failing = n_paths - 1 if last_half else 0
+    raised_here = []  # a forked child's appends stay in the child
+
+    def then(p, rng):
+        if p == failing:
+            raised_here.append(p)
+            raise error(f"no draw for path {p}")
+        return (rng.random(),)
+
+    with pytest.raises(error, match=f"no draw for path {failing}"):
+        _noise_batch(two_mark_spec(), TimeGrid(1.0, 8), 41, n_paths, None, then=then)
+    assert len(children) == int(fork)
+    assert len(raised_here) == int(not (fork and last_half))
+    _assert_no_child_left()
+
+
+def test_diverged_error_survives_pickling():
+    for err in (DivergedError(5), DivergedError(3, "custom message")):
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is DivergedError
+        assert (back.step, str(back)) == (err.step, str(err))
+    assert str(pickle.loads(pickle.dumps(DivergedError(5)))) == "state diverged at step 5"
 
 
 def test_noise_determinism_and_zero_intensity():

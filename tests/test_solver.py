@@ -327,6 +327,33 @@ def test_block_pass_exception_reaches_the_caller(fork, monkeypatch):
     _assert_no_child_left()
 
 
+class TwoArgumentError(Exception):
+    def __init__(self, what, n_blocks):
+        super().__init__(f"{what} on {n_blocks} blocks")
+
+
+def test_an_exception_that_does_not_unpickle_is_raised_by_the_inline_rerun(monkeypatch):
+    # It pickles in the child, but unpickling calls TwoArgumentError(message)
+    # and fails; the parent then reruns the block pass and raises it itself.
+    children = _forcing_fork(monkeypatch, True)
+    backward_pass = solver_module._backward_pass
+    raised_here = []
+
+    def failing(problem, grid, fm, ens, groups, *args):
+        if len(groups) > 1:
+            raised_here.append(True)
+            raise TwoArgumentError("no fit", len(groups))
+        return backward_pass(problem, grid, fm, ens, groups, *args)
+
+    monkeypatch.setattr(solver_module, "_backward_pass", failing)
+    problem, grid, kwargs = _pinned_problem("hydro")
+    with pytest.raises(TwoArgumentError) as info:
+        solve(problem, grid, **kwargs)
+    assert str(info.value) == "no fit on 8 blocks"
+    assert [child.used for child in children] == [True] and raised_here == [True]
+    _assert_no_child_left()
+
+
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
 def test_a_raising_main_pass_reaps_the_child(error, monkeypatch):
     children = _forcing_fork(monkeypatch, True)
