@@ -94,8 +94,6 @@ def _solve(problem, grid, base: SolverSettings, args, quantization):
         n_paths=n_paths,
         seed=args.seed,
         quantization=quantization,
-        probe_paths=base.probe_paths,
-        explore_prob=base.explore_prob,
     )
     return surface, n_paths
 
@@ -142,6 +140,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.paths < 1:
+        raise ValueError("--paths must be at least 1")
     cfg = load_config(args.config)
     spec, grid, problem = cfg.build_dynamics()
     control = cfg.control or SwitchingControl.empty()
@@ -305,6 +305,8 @@ def cmd_hydro_demo(args) -> int:
 
 
 def cmd_water_value(args) -> int:
+    if not args.bump > 0.0:
+        raise ValueError("--bump must be strictly positive")
     if args.config:
         params = load_config(args.config).hydro_params()
     else:

@@ -6,8 +6,7 @@ A config file is a single JSON object:
       "family": "affine",
       "params": { ... family specific ... },
       "solver": {"n_paths": 4000, "k_max": null, "degree": 2,
-                 "cross_terms": true, "quantization": null,
-                 "probe_paths": 48, "explore_prob": 0.15},
+                 "cross_terms": true, "quantization": null},
       "control": {"times": [0.0], "modes": [2]}
     }
 
@@ -66,8 +65,6 @@ class SolverSettings:
     degree: int = 2
     cross_terms: bool = True
     quantization: Optional[int] = None
-    probe_paths: int = 48
-    explore_prob: float = 0.15
 
     def feature_map(self) -> FeatureMap:
         return FeatureMap(degree=self.degree, cross_terms=self.cross_terms)
@@ -144,10 +141,6 @@ def _coerce_solver(section: dict) -> SolverSettings:
         raise ConfigError("solver.quantization must be null, 2 or 3")
     if settings.k_max is not None and settings.k_max < 0:
         raise ConfigError("solver.k_max must be nonnegative")
-    if settings.probe_paths < 1:
-        raise ConfigError("solver.probe_paths must be at least 1")
-    if not 0.0 <= settings.explore_prob < 1.0:
-        raise ConfigError("solver.explore_prob must lie in [0, 1)")
     return settings
 
 

@@ -30,16 +30,18 @@ Per-path random streams are spawned from the root seed with
 ``numpy.random.SeedSequence``, so path p's noise depends only on the
 seed and p: the first paths of a batch equal a smaller batch.  On Linux,
 in a single-threaded process with a spare CPU, a batch of at least
-``FORK_MIN_PATHS`` paths is drawn in two halves, the second in a forked
-child; the outputs are identical either way.  A hook that draws more
+``FORK_MIN_PATHS`` paths is drawn in two halves, the second by a forked
+child straight into the batch's arrays, which are then in shared memory;
+if no child runs or it sends nothing usable, the second half is drawn
+here.  The outputs are identical either way.  A hook that draws more
 from each stream (the solver's mode draws) may therefore run in the
 child, so it returns its values rather than storing them.
 """
 
 from __future__ import annotations
 
-import contextlib
 import io
+import mmap
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -49,8 +51,9 @@ from ._fork import _Child, _may_fork
 
 STATE_BOUND = 1e12
 # Batches from this many paths draw their second half in a forked child.
-# A fork and the hand-back of the child's rows cost milliseconds, so
-# smaller batches, which take about as long to draw, stay inline.
+# A fork and the child's page faults on the shared arrays cost
+# milliseconds, so smaller batches, which take about as long to draw,
+# stay inline.
 FORK_MIN_PATHS = 1000
 
 __all__ = [
@@ -331,23 +334,29 @@ def sample_noise(spec: SddeSpec, grid: TimeGrid, seed: int, quantization: Option
     return NoiseDraw(brownian=dw, jump_counts=counts, seed=seed)
 
 
-def _draw_paths(spec: SddeSpec, grid: TimeGrid, seed: int, tables, then, lo: int, hi: int, out: list):
-    """Draw paths [lo, hi) of a batch into those rows of the arrays in ``out``; returns the rows.
+def _path_values(spec: SddeSpec, grid: TimeGrid, seed: int, tables, then, p: int) -> tuple:
+    """Path p's noise, then what the hook draws from the same stream."""
+    # Child p of SeedSequence(seed).spawn(n_paths), built as the loop reaches it.
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p,)))
+    values = _draw_one(rng, spec, grid, tables)
+    return values if then is None else values + tuple(then(p, rng))
 
-    ``out`` starts as the noise arrays; the hook's arrays are appended,
-    batch-sized and shaped by its first return value.
-    """
+
+def _draw_paths(spec: SddeSpec, grid: TimeGrid, seed: int, tables, then, lo: int, hi: int, out: list) -> None:
+    """Draw paths [lo, hi) of a batch into those rows of the arrays in ``out``."""
     for p in range(lo, hi):
-        # Child p of SeedSequence(seed).spawn(n_paths), built as the loop reaches it.
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p,)))
-        values = _draw_one(rng, spec, grid, tables)
-        if then is not None:
-            values += tuple(then(p, rng))
-        for v in values[len(out):]:
-            out.append(np.empty((len(out[0]),) + np.shape(v), dtype=np.asarray(v).dtype))
-        for arr, v in zip(out, values):
+        for arr, v in zip(out, _path_values(spec, grid, seed, tables, then, p)):
             arr[p] = v
-    return [arr[lo:hi] for arr in out]
+
+
+def _batch_array(n_paths: int, value, shared: bool) -> np.ndarray:
+    """An array for ``value`` per path; in anonymous shared memory when ``shared``."""
+    value = np.asarray(value)
+    shape = (n_paths,) + value.shape
+    nbytes = value.dtype.itemsize * int(np.prod(shape))
+    if not (shared and nbytes):  # mmap rejects length 0
+        return np.empty(shape, dtype=value.dtype)
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=value.dtype).reshape(shape)
 
 
 def _noise_batch(spec: SddeSpec, grid: TimeGrid, seed: int, n_paths: int, quantization, then=None):
@@ -356,30 +365,26 @@ def _noise_batch(spec: SddeSpec, grid: TimeGrid, seed: int, n_paths: int, quanti
     ``then(p, rng)`` runs after path p's noise and returns a tuple of
     values, each of one shape and dtype for every path; they come back
     stacked over the paths after the noise arrays.
-    From ``FORK_MIN_PATHS`` paths on, when ``_may_fork()`` holds, a forked
-    child draws the second half of the batch while this process draws the
-    first.  Each path keeps its own stream, so the outputs are the same.
+    Path 0 is drawn first; its values shape the output arrays.  From
+    ``FORK_MIN_PATHS`` paths on, when ``_may_fork()`` holds, those arrays
+    are in shared memory and a forked child draws the second half of the
+    batch into them while this process draws the first; without a usable
+    child this process draws both.  Each path keeps its own stream, so
+    the outputs are the same.
     """
     tables = _draw_tables(spec, grid, quantization)
-    out = [np.empty((n_paths, grid.n_steps, spec.brownian_dim)),
-           np.empty((n_paths, grid.n_steps, spec.n_marks), dtype=np.int64)]
-    child = None
-    if n_paths >= FORK_MIN_PATHS and _may_fork():
-        with contextlib.suppress(OSError):  # no fork: draw every path here
-            child = _Child(_draw_paths, spec, grid, seed, tables, then, n_paths // 2, n_paths, out)
-    half = n_paths if child is None else n_paths // 2
-    try:
-        _draw_paths(spec, grid, seed, tables, then, 0, half, out)
-        rest = None if child is None else child.result(into=[arr[half:] for arr in out])
-    finally:
-        if child is not None:
-            child.cancel()
-    if rest is not None:
-        for arr, part in zip(out, rest):
-            if not np.shares_memory(arr, part):  # received elsewhere than into place
-                arr[half:] = part
-    elif half < n_paths:
-        _draw_paths(spec, grid, seed, tables, then, half, n_paths, out)
+    if n_paths == 0:
+        return (np.empty((0, grid.n_steps, spec.brownian_dim)),
+                np.empty((0, grid.n_steps, spec.n_marks), dtype=np.int64))
+    first = _path_values(spec, grid, seed, tables, then, 0)
+    fork = n_paths >= FORK_MIN_PATHS and _may_fork()
+    out = [_batch_array(n_paths, v, fork) for v in first]
+    for arr, v in zip(out, first):
+        arr[0] = v
+    half = max(n_paths // 2, 1)  # path 0 is drawn already
+    with _Child.beside(fork, _draw_paths, spec, grid, seed, tables, then, half, n_paths, out) as second_half:
+        _draw_paths(spec, grid, seed, tables, then, 1, half, out)
+        second_half()
     return tuple(out)
 
 

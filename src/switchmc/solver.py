@@ -44,10 +44,11 @@ that one: each group is fitted on its own rows, and only the fits and the
 products with their coefficients are per group.  On Linux, in a
 single-threaded process with a spare CPU, a forked child runs that block
 pass for every level up to k_max beside the main pass; its block roots
-are taken when the main pass also ends at k_max, and otherwise the child
-is killed and the blocks run inline.  The outputs are identical either
-way, and the child's warnings and exception reach the caller where the
-inline pass would have raised them.
+are taken when the main pass also ends at k_max (and computed inline if
+the child sent nothing usable), and otherwise the child is killed and
+the blocks run inline.  The outputs are identical either way, and the
+child's warnings and exception reach the caller where the inline pass
+would have raised them.
 ``ValueSurface`` stores the coefficients stacked per (step, mode) and
 evaluates value tables for the policy through the same
 ``_level_values``, so decisions compare exactly what training compared.
@@ -62,7 +63,6 @@ reports the gap between the root value and the realized reward.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import io
 import json
@@ -93,6 +93,10 @@ __all__ = [
 GAP_TOL_SCALE = 1e-3
 RIDGE_SCALE = 1e-8
 SE_BLOCKS = 8
+# Paths per probe point in the convergence diagnostics.
+PROBE_PATHS = 48
+# Per-instant mode re-roll probability of the training ensemble.
+EXPLORE_PROB = 0.15
 
 
 @dataclass(frozen=True)
@@ -557,8 +561,6 @@ def solve(
     n_paths: int = 4000,
     seed: int = 0,
     quantization: Optional[int] = None,
-    probe_paths: int = 48,
-    explore_prob: float = 0.15,
 ) -> ValueSurface:
     """Fit the budget-indexed value family for k = 0..k_max backward.
 
@@ -566,19 +568,14 @@ def solve(
     statistically resolvable probe move against k-1 (the change beyond
     three paired standard errors) fall below 1e-3 * (1 + |root value|);
     otherwise runs to k_max and flags the surface as unconverged (with a
-    warning carrying the last gap).  ``explore_prob`` is the per-instant
-    mode re-roll probability of the training ensemble.  The
-    standard-error blocks may run in a forked child (see the module
-    docstring), so the problem's callables must not rely on side effects.
+    warning carrying the last gap).  The standard-error blocks may run in
+    a forked child (see the module docstring), so the problem's callables
+    must not rely on side effects.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
     if k_max is not None and k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    if probe_paths < 1:
-        raise ValueError("probe_paths must be at least 1")
-    if not 0.0 <= explore_prob < 1.0:
-        raise ValueError("explore_prob must lie in [0, 1)")
     reject_history_reward(problem, "the regression solver")
     if not problem.jump_maps.target_only:
         raise ValueError(
@@ -594,13 +591,13 @@ def solve(
     n = grid.n_steps
 
     pre, post, mode_of_step, d = _randomized_ensemble(
-        problem, grid, n_paths, seed, quantization, explore_prob
+        problem, grid, n_paths, seed, quantization, EXPLORE_PROB
     )
     use_delay = d > 0
     P = n_paths
     p = fm.n_features(problem.dynamics.dim, use_delay)
     probe_times = sorted({0, n // 4, n // 2, (3 * n) // 4} - {n})
-    q = min(probe_paths, P)
+    q = min(PROBE_PATHS, P)
     check = validate_target_only(
         problem.jump_maps, modes, pre[:q, probe_times].reshape(-1, pre.shape[2]),
         grid.times[probe_times],
@@ -679,13 +676,9 @@ def solve(
     # With a spare CPU, a forked child runs the blocks for every level up
     # to k_max beside the main pass.  Its roots are taken when the main
     # pass also ends at k_max; otherwise it is killed and the blocks run
-    # here.  Either way the roots come from the same call on the same
-    # inputs.
-    child = None
-    if n_blocks >= 2 and _may_fork():
-        with contextlib.suppress(OSError):  # no fork, no speculation
-            child = _Child(run_blocks, k_max + 1)
-    try:
+    # here for the levels kept.  Either way the roots come from the same
+    # call on the same inputs.
+    with _Child.beside(n_blocks >= 2 and _may_fork(), run_blocks, k_max + 1) as all_levels:
         # The main pass runs level by level: it is the stopping search, and
         # no level above the stopping one gets fitted.
         moved_prev = main_level(0, None)
@@ -729,12 +722,10 @@ def solve(
             probe_stack[:, col] = _isotonic(probe_stack[:, col])
         for k in range(k_final + 1):
             diag.probe_values[k] = probe_stack[k]
-        roots = child.result() if child is not None and k_final == k_max else None
-    finally:
-        if child is not None:
-            child.cancel()
+        if n_blocks >= 2 and k_final == k_max:
+            roots = all_levels()
     if n_blocks >= 2:
-        if roots is None:
+        if k_final < k_max:
             roots = run_blocks(k_final + 1)
         block_roots = {key: [] for key in root_value}
         for j in range(n_blocks):

@@ -93,6 +93,16 @@ def test_simulate_writes_deterministic_artifacts(tmp_path):
     assert summary["seed"] == 5
 
 
+def test_simulate_checks_paths_first(tmp_path, capsys):
+    cfg = write_config(tmp_path, "gbm.json", {"family": "gbm", "params": {"n_steps": 4}})
+    for paths in ("0", "-1"):
+        out = tmp_path / f"paths{paths}"
+        argv = ["simulate", "--config", cfg, "--seed", "1", "--paths", paths, "--out", str(out)]
+        assert run_cli(argv) == 1
+        assert "--paths must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_simulate_rejects_off_grid_control(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -192,6 +202,19 @@ def test_hydro_demo_checks_certify_paths_first(tmp_path, monkeypatch):
     argv = ["hydro-demo", "--seed", "3", "--certify-paths", "1", "--out", str(tmp_path / "demo")]
     assert run_cli(argv) == 1
     assert not (tmp_path / "demo").exists()
+
+
+def test_water_value_checks_bump_first(tmp_path, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("no water value may be computed")
+
+    monkeypatch.setattr(cli, "water_value_curve", no_solve)
+    monkeypatch.setattr(cli, "reservoir_marginals", no_solve)
+    for bump in ("0", "-0.1"):
+        out = tmp_path / f"bump{bump}"
+        argv = ["water-value", "--seed", "3", "--bump", bump, "--out", str(out)]
+        assert run_cli(argv) == 1
+        assert not out.exists()
 
 
 def test_hydro_demo_cli(tmp_path):

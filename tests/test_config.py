@@ -13,7 +13,6 @@ def test_minimal_two_mode_config():
     assert grid.n_steps == 8
     assert problem.modes.n_modes == 2
     assert cfg.solver.n_paths == 4000
-    assert cfg.solver.explore_prob == 0.15
     assert cfg.control is None
 
 
@@ -25,8 +24,12 @@ def test_unknown_family_rejected():
 
 
 def test_unknown_param_key_rejected():
-    with pytest.raises(ConfigError):
-        parse_config({"family": "gbm", "params": {"mu": 0.1, "volatility": 0.2}})
+    for raw in (
+        {"family": "gbm", "params": {"mu": 0.1, "volatility": 0.2}},
+        {"family": "pure_cost", "params": {}, "solver": {"probe_paths": 48}},
+    ):
+        with pytest.raises(ConfigError, match="unknown"):
+            parse_config(raw)
 
 
 def test_solver_settings_validated():
@@ -39,9 +42,6 @@ def test_solver_settings_validated():
         {"degree": 0},
         {"quantization": 5},
         {"k_max": -1},
-        {"explore_prob": 1.0},
-        {"explore_prob": -0.2},
-        {"probe_paths": 0},
         {"basis": "chebyshev"},
     ):
         with pytest.raises(ConfigError):

@@ -182,9 +182,13 @@ def _mode_draws(p, rng):
     return rng.random(), rng.integers(0, 3), rng.random(8), rng.integers(0, 2, size=8)
 
 
-@pytest.mark.parametrize("quantization", [None, 2])
-def test_forked_half_gives_the_inline_batch(quantization, monkeypatch):
-    spec = two_mark_spec()
+@pytest.mark.parametrize(
+    "spec, quantization",
+    [(two_mark_spec(), None), (two_mark_spec(), 2), (flat_spec(), None)],
+    ids=["None", "2", "jump-free"],
+)
+def test_forked_half_gives_the_inline_batch(spec, quantization, monkeypatch):
+    # The jump-free counts array has no bytes, so it is not shared.
     grid = TimeGrid(1.0, 8)
     n_paths = sdde_module.FORK_MIN_PATHS + 1
     outputs = []
@@ -195,7 +199,8 @@ def test_forked_half_gives_the_inline_batch(quantization, monkeypatch):
         assert len(children) == (2 if fork else 0)
         _assert_no_child_left()
         outputs.append(plain + hooked)
-    assert outputs[0][0][:, :, 0].std() > 0 and outputs[0][1].sum() > 0
+    assert outputs[0][0][:, :, 0].std() > 0
+    assert outputs[0][1].sum() > 0 if spec.n_marks else outputs[0][1].shape == (n_paths, 8, 0)
     assert len(outputs[0]) == len(outputs[1]) == 8
     for forked, inline in zip(*outputs):
         assert forked.dtype == inline.dtype
@@ -209,10 +214,11 @@ class HookError(Exception):
 @pytest.mark.parametrize("fork", [True, False])
 @pytest.mark.parametrize("error, last_half", [(HookError, True), (KeyboardInterrupt, False)])
 def test_hook_exception_reaches_the_caller_and_reaps_the_child(error, last_half, fork, monkeypatch):
-    # The last path is in the child's half, the first in this process's.
+    # The last path is in the child's half, path 1 in this process's
+    # (path 0 is drawn before the fork).
     children = _forcing_fork(monkeypatch, fork)
     n_paths = sdde_module.FORK_MIN_PATHS + 1
-    failing = n_paths - 1 if last_half else 0
+    failing = n_paths - 1 if last_half else 1
     raised_here = []  # a forked child's appends stay in the child
 
     def then(p, rng):
@@ -226,6 +232,26 @@ def test_hook_exception_reaches_the_caller_and_reaps_the_child(error, last_half,
     assert len(children) == int(fork)
     assert len(raised_here) == int(not (fork and last_half))
     _assert_no_child_left()
+
+
+def test_a_child_that_dies_before_sending_leaves_its_half_to_this_process(monkeypatch):
+    n_paths = sdde_module.FORK_MIN_PATHS + 1
+    parent = os.getpid()
+
+    def dying(p, rng):
+        if p == n_paths - 1 and os.getpid() != parent:
+            os._exit(3)
+        return _mode_draws(p, rng)
+
+    outputs = []
+    for fork, then in ((True, dying), (False, _mode_draws)):
+        children = _forcing_fork(monkeypatch, fork)
+        outputs.append(_noise_batch(two_mark_spec(), TimeGrid(1.0, 8), 41, n_paths, None, then=then))
+        assert len(children) == int(fork)
+        _assert_no_child_left()
+    for forked, inline in zip(*outputs):
+        assert forked.dtype == inline.dtype
+        assert np.array_equal(forked, inline)
 
 
 def test_diverged_error_survives_pickling():

@@ -468,12 +468,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         solve(problem, grid, n_paths=1)
     with pytest.raises(ValueError):
-        solve(problem, grid, explore_prob=1.0)
-    with pytest.raises(ValueError):
-        solve(problem, grid, explore_prob=-0.1)
-    for bad in ({"k_max": -1}, {"probe_paths": 0}, {"probe_paths": -5}):
-        with pytest.raises(ValueError):
-            solve(problem, grid, n_paths=100, **bad)
+        solve(problem, grid, n_paths=100, k_max=-1)
 
 
 def test_source_dependent_resets_rejected():
