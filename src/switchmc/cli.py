@@ -117,7 +117,7 @@ def cmd_validate(args) -> int:
     print(f"terminal-no-switch: {'ok' if term.ok else 'FAIL'} ({term.detail})")
 
     if modes.n_modes <= 5:
-        red = validate_cycle_reduction(problem.jump_maps, modes, probes[:32], seed=args.seed)
+        red = validate_cycle_reduction(problem.jump_maps, modes, probes[:32], times=ts, seed=args.seed)
         ok &= red.ok
         print(f"cycle-reduction: {'ok' if red.ok else 'FAIL'} ({red.detail})")
     else:
@@ -240,6 +240,10 @@ def cmd_compare_oracle(args) -> int:
 
 
 def cmd_hydro_demo(args) -> int:
+    if args.paths is not None and args.paths < 2:
+        raise ValueError("--paths must be at least 2")
+    if args.k_max is not None and args.k_max < 0:
+        raise ValueError("--k-max must be nonnegative")
     if args.certify_paths < 2:
         raise ValueError("--certify-paths must be at least 2")
     if args.config:

@@ -11,7 +11,9 @@ A config file is a single JSON object:
     }
 
 Only "family" is required.  Unknown keys anywhere raise ConfigError so
-typos cannot silently fall back to defaults.  The families are:
+typos cannot silently fall back to defaults, and the configured instance
+is built once at parse time so a bad family parameter raises ConfigError
+too.  The families are:
 
     affine                  one-dimensional affine dynamics, per-mode rates
     two_mode_deterministic  flat state, two reward rates, constant cost
@@ -34,7 +36,7 @@ from typing import Optional
 from . import families
 from .controls import SwitchingControl
 from .hydro import HydroParams, build_hydro_problem
-from .sdde import TimeGrid
+from .sdde import OffGridError, TimeGrid
 from .solver import FeatureMap
 
 __all__ = ["ConfigError", "SolverSettings", "RunConfig", "load_config", "parse_config"]
@@ -109,10 +111,7 @@ class RunConfig:
     def hydro_params(self) -> HydroParams:
         if self.family != "hydro":
             raise ConfigError(f"family {self.family!r} is not the cascade example")
-        try:
-            return HydroParams(**self.params)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad hydro parameters: {exc}") from exc
+        return HydroParams(**self.params)
 
 
 def _require_object(value, where: str) -> dict:
@@ -176,8 +175,10 @@ def parse_config(raw: dict) -> RunConfig:
         solver=solver,
         control=control,
     )
-    if family == "hydro":
-        cfg.hydro_params()
+    try:
+        cfg.build_dynamics()
+    except (TypeError, ValueError, OffGridError) as exc:
+        raise ConfigError(f"bad {family} parameters: {exc}") from exc
     return cfg
 
 

@@ -18,7 +18,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .sdde import SddeSpec, TimeGrid, sample_noise_batch, simulate_batch
+from .sdde import OffGridError, SddeSpec, TimeGrid, sample_noise_batch, simulate_batch
+
+# Random chains drawn per chain length by validate_cycle_reduction.
+REDUCTION_CHAINS = 25
 
 __all__ = [
     "ModeSet",
@@ -34,7 +37,6 @@ __all__ = [
     "validate_cycle_reduction",
     "validate_target_only",
     "evaluate_reward",
-    "reject_history_reward",
 ]
 
 
@@ -119,8 +121,7 @@ class JumpMapFamily:
     """State resets h(b_from, b_to, t, x) applied at switches.
 
     ``apply`` must accept batched states (n, dim), row r of its output
-    depending only on row r of ``x``.  ``state_bound`` is the
-    constant C in |h(t,x)| <= max(C, |x|); ``reduction_length`` the
+    depending only on row r of ``x``.  ``reduction_length`` is the
     declared chain-reduction length checked by
     :func:`validate_cycle_reduction`.  ``target_only`` declares that
     ``apply`` ignores ``b_from`` (the reset depends on the target mode
@@ -133,7 +134,6 @@ class JumpMapFamily:
     """
 
     apply: Callable
-    state_bound: float = 0.0
     reduction_length: int = 2
     target_only: bool = False
 
@@ -207,8 +207,9 @@ def validate_control(control: SwitchingControl, mode_set: ModeSet, grid: TimeGri
         if not (0.0 <= t <= grid.horizon):
             complaints.append(f"switch {j}: time {t} outside [0, {grid.horizon}]")
         else:
-            idx = round(t / grid.step)
-            if abs(t - idx * grid.step) > 1e-9 * max(grid.step, 1.0):
+            try:
+                grid.index_of(t)
+            except OffGridError:
                 complaints.append(f"switch {j}: time {t} is off the grid (step {grid.step})")
         if b == prev_b:
             complaints.append(f"switch {j}: target mode {b} equals the current mode")
@@ -302,26 +303,25 @@ def validate_cycle_reduction(
     jump_maps: JumpMapFamily,
     mode_set: ModeSet,
     probe_states: np.ndarray,
-    kappa: Optional[int] = None,
     times: Sequence[float] = (0.0,),
-    n_chains: int = 25,
     seed: int = 0,
 ) -> ValidationReport:
     """Check that long switch chains reduce to short ones on the probes.
 
-    For random mode chains of length kappa+1 .. kappa+3 the composed jump
-    map must agree (within 1e-9 at every probe) with the composition along
-    some subsequence of at most kappa modes; the trivial subsequence
-    composes to the identity.  Returns the first offending chain as a
-    witness.
+    With k the declared ``jump_maps.reduction_length``, for
+    ``REDUCTION_CHAINS`` random mode chains of each length k+1 .. k+3 and
+    every time in ``times``, the composed jump map must agree (within
+    1e-9 at every probe) with the composition along some subsequence of
+    at most k modes; the trivial subsequence composes to the identity.
+    Returns the first offending chain as a witness.
     """
     if mode_set.n_modes > 5:
         raise ValueError("reduction check supports at most 5 modes")
-    k = jump_maps.reduction_length if kappa is None else int(kappa)
+    k = jump_maps.reduction_length
     probes = np.atleast_2d(np.asarray(probe_states, dtype=float))
     rng = np.random.default_rng(seed)
     for length in range(k + 1, k + 4):
-        for _ in range(n_chains):
+        for _ in range(REDUCTION_CHAINS):
             chain = [int(rng.integers(1, mode_set.n_modes + 1))]
             while len(chain) < length:
                 nxt = int(rng.integers(1, mode_set.n_modes + 1))

@@ -9,7 +9,6 @@ oracle cross-checks.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,6 +19,7 @@ from .controls import (
     RewardSpec,
     SwitchingCostModel,
     SwitchingProblem,
+    validate_no_free_loop,
 )
 from .sdde import MarkDistribution, SddeSpec, TimeGrid
 
@@ -29,19 +29,7 @@ __all__ = [
     "two_mode_flow_problem",
     "pure_cost_problem",
     "random_tree_problem",
-    "min_cycle_cost",
 ]
-
-
-def min_cycle_cost(table: np.ndarray) -> float:
-    """Exact minimum total cost over mode cycles for a constant cost table."""
-    m = table.shape[0]
-    best = np.inf
-    for length in range(2, m + 1):
-        for cycle in itertools.permutations(range(m), length):
-            total = sum(table[cycle[i], cycle[(i + 1) % length]] for i in range(length))
-            best = min(best, total)
-    return float(best)
 
 
 def affine_problem(
@@ -71,7 +59,8 @@ def affine_problem(
 
     Dynamics: dX = (a0[b] + a1 X + a2 X_delayed) dt + (s0 + s1 X) dW + jumps,
     running reward r0[b] + r1[b] X, terminal reward w0 + w1 X, identity jump
-    maps, constant switch costs.  Returns (problem, grid).
+    maps, constant switch costs.  ``loop_floor`` defaults to the exact
+    minimum cycle cost of ``cost_table``.  Returns (problem, grid).
     """
     a0 = np.asarray(drift_const, dtype=float)
     r0 = np.asarray(run_const, dtype=float)
@@ -83,7 +72,13 @@ def affine_problem(
     if cost_table is None:
         cost_table = 0.3 * (np.ones((n_modes, n_modes)) - np.eye(n_modes))
     table = np.asarray(cost_table, dtype=float)
-    floor = min_cycle_cost(table) if loop_floor is None else float(loop_floor)
+    if table.shape != (n_modes, n_modes):
+        raise ValueError("cost_table must be n_modes x n_modes")
+    modes = ModeSet(n_modes, initial_mode)
+    if loop_floor is None:
+        # Only the enumerated minimum is read; the placeholder floor is never checked.
+        unfloored = SwitchingCostModel.from_table(table, loop_floor=np.inf)
+        loop_floor = validate_no_free_loop(unfloored, modes, (0.0,)).margin
 
     def drift(t, x, y, mode):
         return a0[mode - 1] + drift_lin * x + drift_delay * y
@@ -115,8 +110,8 @@ def affine_problem(
     )
     problem = SwitchingProblem(
         dynamics=spec,
-        modes=ModeSet(n_modes, initial_mode),
-        costs=SwitchingCostModel.from_table(table, loop_floor=floor),
+        modes=modes,
+        costs=SwitchingCostModel.from_table(table, loop_floor=float(loop_floor)),
         jump_maps=JumpMapFamily.identity(),
         reward=RewardSpec(
             running=lambda t, x, mode: r0[mode - 1] + r1[mode - 1] * x[:, 0],

@@ -195,12 +195,7 @@ def build_hydro_problem(params: HydroParams):
         out[:, 5] = float(xi1)
         return out
 
-    jump_maps = JumpMapFamily(
-        apply=apply_map,
-        state_bound=float(p.kappa1),
-        reduction_length=2,
-        target_only=True,
-    )
+    jump_maps = JumpMapFamily(apply=apply_map, reduction_length=2, target_only=True)
 
     def running(t, x, mode):
         xi1, xi2 = mode_levels(mode, p)

@@ -54,9 +54,7 @@ class OracleInstance:
     tree: ScenarioTree
     edge_dw: np.ndarray
     edge_mark: np.ndarray
-    delay_steps: int
     windows: tuple
-    branching: int
 
 
 class _EdgeStepper:
@@ -123,7 +121,6 @@ def build_lattice(
     if n_nodes > node_budget:
         raise ValueError(f"lattice needs {n_nodes} nodes, over the budget of {node_budget}")
 
-    d = spec.delay_steps(grid)
     pres = tuple(tuple(row) for row in spec.presegment(grid))
     root_window = pres + (tuple(spec.initial_state()),)
     stepper = _EdgeStepper(problem, grid)
@@ -165,9 +162,7 @@ def build_lattice(
         tree=tree,
         edge_dw=np.array(edge_dw),
         edge_mark=np.array(edge_mark, dtype=np.int64),
-        delay_steps=d,
         windows=tuple(windows),
-        branching=branching,
     )
 
 

@@ -239,7 +239,6 @@ class NoiseDraw:
 
     brownian: np.ndarray
     jump_counts: np.ndarray
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -331,7 +330,7 @@ def sample_noise(spec: SddeSpec, grid: TimeGrid, seed: int, quantization: Option
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     dw, counts = _draw_one(rng, spec, grid, _draw_tables(spec, grid, quantization))
-    return NoiseDraw(brownian=dw, jump_counts=counts, seed=seed)
+    return NoiseDraw(brownian=dw, jump_counts=counts)
 
 
 def _path_values(spec: SddeSpec, grid: TimeGrid, seed: int, tables, then, p: int) -> tuple:

@@ -166,25 +166,20 @@ class LimitReport:
     final_deviation: float
 
 
-def envelope_limit_check(
-    tree: ScenarioTree,
-    payoffs: Sequence[np.ndarray],
-    limit_payoff: Optional[np.ndarray] = None,
-) -> LimitReport:
+def envelope_limit_check(tree: ScenarioTree, payoffs: Sequence[np.ndarray]) -> LimitReport:
     """Track envelope deviations along a payoff sequence.
 
-    Computes max |Z(U_k) - Z(U_lim)| per element; the limit payoff
-    defaults to the last element of the sequence.
+    Computes max |Z(U_k) - Z(U_lim)| per element, where the limit payoff
+    U_lim is the last element of the sequence.
     """
-    lim = payoffs[-1] if limit_payoff is None else limit_payoff
-    z_lim = snell_envelope(tree, lim)
+    z_lim = snell_envelope(tree, payoffs[-1])
     devs = tuple(float(np.max(np.abs(snell_envelope(tree, u) - z_lim))) for u in payoffs)
     noninc = all(a >= b - TOUCH_TOL for a, b in zip(devs[:-1], devs[1:]))
     return LimitReport(deviations=devs, nonincreasing=noninc, final_deviation=devs[-1])
 
 
 def random_dominating_supermartingale(
-    tree: ScenarioTree, payoff: np.ndarray, rng: np.random.Generator, slack_scale: float = 1.0
+    tree: ScenarioTree, payoff: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """A random supermartingale dominating the payoff (for minimality checks).
 
@@ -195,7 +190,7 @@ def random_dominating_supermartingale(
     u = np.asarray(payoff, dtype=float)
     w = np.empty_like(u)
     for i in range(tree.n_nodes - 1, -1, -1):
-        slack = slack_scale * float(rng.random())
+        slack = float(rng.random())
         kids = tree.children[i]
         if not kids:
             w[i] = u[i] + slack

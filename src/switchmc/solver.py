@@ -78,7 +78,6 @@ from .sdde import TimeGrid, _euler_step, _lookback, _noise_batch, sample_noise_b
 
 __all__ = [
     "FeatureMap",
-    "FitInfo",
     "SolveDiagnostics",
     "ValueSurface",
     "Policy",
@@ -147,13 +146,11 @@ class FitInfo:
         return self.rank < self.n_features
 
     @functools.cached_property
-    def resid_std(self):
-        """Residual std, one entry per column for a 2-D target; computed on first read."""
+    def resid_std(self) -> np.ndarray:
+        """Residual std, one entry per target column; computed on first read."""
         design, keep, target, sol = self.lsq
-        rhs = target[:, None] if target.ndim == 1 else target
-        resid = np.ascontiguousarray((rhs - design[:, keep] @ sol).T)
-        std = np.sqrt(np.array([r @ r for r in resid]) / max(design.shape[0] - self.rank, 1))
-        return float(std[0]) if target.ndim == 1 else std
+        resid = np.ascontiguousarray((target - design[:, keep] @ sol).T)
+        return np.sqrt(np.array([r @ r for r in resid]) / max(design.shape[0] - self.rank, 1))
 
     @functools.cached_property
     def gram_pinv(self) -> np.ndarray:
@@ -178,25 +175,23 @@ def _fit(design: np.ndarray, target: np.ndarray):
     path only triggers for the target columns where that still produces
     non-finite coefficients.
 
-    A 2-D target fits one column per right-hand side in a single solve;
-    the coefficients then have one column per target column and
-    ``resid_std`` is an array with one entry per column.
+    The target is 2-D, one column per right-hand side, all fitted in a
+    single solve; the coefficients have one column per target column.
     """
     keep = np.ptp(design, axis=0) != 0.0
     keep[0] = True
     reduced = design[:, keep]
-    rhs = target[:, None] if target.ndim == 1 else target
-    sol, _, rank, _ = np.linalg.lstsq(reduced, rhs, rcond=None)
+    sol, _, rank, _ = np.linalg.lstsq(reduced, target, rcond=None)
     bad = ~np.all(np.isfinite(sol), axis=0)
     if bad.any():
         gram = reduced.T @ reduced
         p = gram.shape[0]
         lam = RIDGE_SCALE * np.trace(gram) / p
-        sol[:, bad] = np.linalg.solve(gram + lam * np.eye(p), reduced.T @ rhs[:, bad])
-    coef = np.zeros((design.shape[1], rhs.shape[1]))
+        sol[:, bad] = np.linalg.solve(gram + lam * np.eye(p), reduced.T @ target[:, bad])
+    coef = np.zeros((design.shape[1], target.shape[1]))
     coef[keep] = sol
     info = FitInfo(int(rank), int(keep.sum()), bool(bad.any()), (design, keep, target, sol))
-    return (coef[:, 0] if target.ndim == 1 else coef), info
+    return coef, info
 
 
 def _prediction_se(info: FitInfo, eval_design: np.ndarray) -> np.ndarray:

@@ -47,6 +47,23 @@ def test_validate_flags_misdeclared_target_only(tmp_path, capsys, monkeypatch):
     assert "target-only: FAIL" in capsys.readouterr().out
 
 
+def test_validate_checks_cycle_reduction_at_time_samples(tmp_path, capsys, monkeypatch):
+    # The reset x + t * b_to is the identity at t = 0 only, so chains reduce there alone.
+    pure_cost = families.pure_cost_problem
+
+    def drifting(**params):
+        problem, grid = pure_cost(**params)
+        maps = JumpMapFamily(apply=lambda bf, bt, t, x: x + t * bt, target_only=True)
+        return dataclasses.replace(problem, jump_maps=maps), grid
+
+    monkeypatch.setattr(families, "pure_cost_problem", drifting)
+    cfg = write_config(tmp_path, "pc.json", {"family": "pure_cost", "params": {"n_modes": 3}})
+    assert run_cli(["validate", "--config", cfg, "--seed", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "cycle-reduction: FAIL" in out
+    assert "target-only: ok" in out
+
+
 def test_validate_flags_bad_control(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -66,6 +83,21 @@ def test_config_error_exit_code(tmp_path):
     cfg = write_config(tmp_path, "nope.json", {"family": "pde"})
     assert run_cli(["validate", "--config", cfg, "--seed", "1"]) == 2
     assert run_cli(["validate", "--config", str(tmp_path / "missing.json"), "--seed", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"family": "pure_cost", "params": {"n_modes": "3"}},
+        {"family": "affine", "params": {"n_modes": 3}},
+        {"family": "hydro", "params": {"delay": 0.1}},
+    ],
+    ids=["pure_cost-type", "affine-length", "hydro-off-grid"],
+)
+def test_bad_family_parameter_is_a_config_error(tmp_path, capsys, payload):
+    cfg = write_config(tmp_path, "bad.json", payload)
+    assert run_cli(["validate", "--config", cfg, "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith("config error: bad ")
 
 
 def test_missing_seed_is_usage_error(tmp_path):
@@ -200,6 +232,21 @@ def test_hydro_demo_checks_certify_paths_first(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "solve", no_solve)
     argv = ["hydro-demo", "--seed", "3", "--certify-paths", "1", "--out", str(tmp_path / "demo")]
+    assert run_cli(argv) == 1
+    assert not (tmp_path / "demo").exists()
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [("--paths", "1"), ("--paths", "0"), ("--k-max", "-1")],
+    ids=["paths-1", "paths-0", "k-max-negative"],
+)
+def test_hydro_demo_checks_paths_and_k_max_first(tmp_path, monkeypatch, flag):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve must not run")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    argv = ["hydro-demo", "--seed", "3", *flag, "--out", str(tmp_path / "demo")]
     assert run_cli(argv) == 1
     assert not (tmp_path / "demo").exists()
 

@@ -19,8 +19,8 @@ from switchmc.controls import (
     validate_no_free_loop,
     validate_terminal_no_switch,
 )
-from switchmc.families import pure_cost_problem, two_mode_flow_problem
-from switchmc.sdde import TimeGrid
+from switchmc.families import affine_problem, pure_cost_problem, two_mode_flow_problem
+from switchmc.sdde import OffGridError, TimeGrid
 
 
 def test_mode_set_basics():
@@ -67,6 +67,24 @@ def test_validate_control_complaints():
     assert "equals the current mode" in text
     assert "off the grid" in text
     assert "outside" in text
+
+
+@pytest.mark.parametrize("horizon", [1.0, 8.0])
+def test_validate_control_uses_the_grid_tolerance(horizon):
+    # The tolerance is 1e-9 * max(step, 1): 1e-9 on the 0.25 grid, 2e-9 on the 2.0 grid.
+    grid = TimeGrid(horizon, 4)
+    tol = 1e-9 * max(grid.step, 1.0)
+    mid = 2 * grid.step
+    for t, on_grid in ((mid + 0.5 * tol, True), (mid - 0.5 * tol, True),
+                       (mid + 3.0 * tol, False), (mid - 3.0 * tol, False)):
+        try:
+            grid.index_of(t)
+            indexed = True
+        except OffGridError:
+            indexed = False
+        complaints = validate_control(SwitchingControl((t,), (2,)), ModeSet(2), grid)
+        assert indexed == on_grid
+        assert any("off the grid" in c for c in complaints) == (not on_grid)
 
 
 def test_no_free_loop_detects_cheap_cycle():
@@ -145,6 +163,24 @@ def test_cycle_reduction_identity_and_counterexample():
     )
     rep2 = validate_cycle_reduction(additive, modes, probes, seed=0)
     assert not rep2.ok
+
+
+def test_affine_default_loop_floor_is_the_cycle_minimum():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        m = int(rng.integers(2, 6))
+        table = rng.uniform(0.01, 1.0, size=(m, m))
+        np.fill_diagonal(table, 0.0)
+        best = min(
+            sum(table[cycle[i] - 1, cycle[(i + 1) % n] - 1] for i in range(n))
+            for n in range(2, m + 1)
+            for cycle in itertools.permutations(range(1, m + 1), n)
+        )
+        zeros = np.zeros(m)
+        problem, _ = affine_problem(
+            n_modes=m, drift_const=zeros, run_const=zeros, run_lin=zeros, cost_table=table
+        )
+        assert problem.costs.loop_floor == best
 
 
 def test_control_cost_tracks_mode_sequence():

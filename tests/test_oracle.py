@@ -21,7 +21,6 @@ def test_lattice_node_count_branching_two():
     inst = build_lattice(problem, grid, branching=2)
     assert inst.tree.n_nodes == 31
     assert inst.tree.n_levels == 4
-    assert inst.branching == 2
     assert np.all(inst.edge_mark == -1)
 
 
@@ -139,7 +138,6 @@ def test_branching_three_lattice():
 def test_delay_windows_respected():
     problem, grid = random_tree_problem(seed=41, n_modes=2, levels=4, delay_steps=2)
     inst = build_lattice(problem, grid, branching=2)
-    assert inst.delay_steps == 2
     vals = exact_dp(inst, k_max=2)
     en = enumerate_controls(inst, k_max=2)
     assert abs(vals.root_value(2, 1) - en.value) <= 1e-12

@@ -430,7 +430,7 @@ def test_batch_matches_single_paths():
     dw, counts = sample_noise_batch(spec, grid, seed=3, n_paths=5)
     states, modes = simulate_batch(spec, grid, SwitchingControl.empty(), dw, counts)
     for p in range(5):
-        noise = NoiseDraw(brownian=dw[p], jump_counts=counts[p], seed=3)
+        noise = NoiseDraw(brownian=dw[p], jump_counts=counts[p])
         single = simulate_path(spec, grid, SwitchingControl.empty(), noise)
         assert np.array_equal(single.states, states[p])
         assert np.array_equal(single.modes, modes)

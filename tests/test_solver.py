@@ -63,11 +63,11 @@ def test_fit_recovers_linear_model_and_prunes_constants():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(200, 1))
     design = np.column_stack([np.ones(200), x[:, 0], np.full(200, 3.7)])
-    target = 2.0 + 0.5 * x[:, 0]
+    target = (2.0 + 0.5 * x[:, 0])[:, None]
     coef, info = _fit(design, target)
-    assert coef[2] == 0.0
+    assert coef[2, 0] == 0.0
     assert np.allclose(design @ coef, target, atol=1e-10)
-    assert info.resid_std < 1e-10
+    assert info.resid_std[0] < 1e-10
 
 
 @pytest.mark.parametrize("rows", [200, 9])
@@ -79,9 +79,9 @@ def test_fit_two_dimensional_target_matches_column_fits(rows):
     coef, info = _fit(design, target)
     assert coef.shape == (11, 5) and info.resid_std.shape == (5,)
     for j in range(5):
-        coef_j, info_j = _fit(design, target[:, j])
-        assert np.allclose(coef[:, j], coef_j, rtol=0.0, atol=1e-12)
-        assert abs(info.resid_std[j] - info_j.resid_std) <= 1e-12
+        coef_j, info_j = _fit(design, target[:, j:j + 1])
+        assert np.allclose(coef[:, j], coef_j[:, 0], rtol=0.0, atol=1e-12)
+        assert abs(info.resid_std[j] - info_j.resid_std[0]) <= 1e-12
         assert (info.rank, info.n_features, info.used_ridge) == (
             info_j.rank, info_j.n_features, info_j.used_ridge
         )
