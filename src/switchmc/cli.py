@@ -214,8 +214,8 @@ def cmd_solve(args) -> int:
 def cmd_compare_oracle(args) -> int:
     cfg = load_config(args.config)
     problem, grid = cfg.build_problem()
-    surface, n_paths = _solve(problem, grid, cfg.solver, args, args.branching)
     instance = build_lattice(problem, grid, branching=args.branching)
+    surface, n_paths = _solve(problem, grid, cfg.solver, args, args.branching)
     values = exact_dp(instance, k_max=surface.k_levels, with_table=False)
     b0 = problem.modes.initial
     rows = []

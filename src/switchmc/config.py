@@ -129,18 +129,21 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
 def _coerce_solver(section: dict) -> SolverSettings:
     _check_keys(section, {f.name for f in dataclasses.fields(SolverSettings)}, "solver")
     try:
-        settings = SolverSettings(**section)
+        s = SolverSettings(**section)
     except TypeError as exc:
         raise ConfigError(f"bad solver settings: {exc}") from exc
-    if settings.n_paths < 2:
-        raise ConfigError("solver.n_paths must be at least 2")
-    if settings.degree < 1:
-        raise ConfigError("solver.degree must be at least 1")
-    if settings.quantization not in (None, 2, 3):
-        raise ConfigError("solver.quantization must be null, 2 or 3")
-    if settings.k_max is not None and settings.k_max < 0:
-        raise ConfigError("solver.k_max must be nonnegative")
-    return settings
+    # JSON integers only: a bool is an int to Python, and 2.0 == 2.
+    for name, ok, what in (
+        ("n_paths", type(s.n_paths) is int and s.n_paths >= 2, "an integer, at least 2"),
+        ("degree", type(s.degree) is int and s.degree >= 1, "an integer, at least 1"),
+        ("k_max", s.k_max is None or type(s.k_max) is int and s.k_max >= 0, "null or an integer, at least 0"),
+        ("quantization", s.quantization is None or type(s.quantization) is int and s.quantization in (2, 3),
+         "null, 2 or 3"),
+        ("cross_terms", type(s.cross_terms) is bool, "true or false"),
+    ):
+        if not ok:
+            raise ConfigError(f"solver.{name} must be {what}, got {getattr(s, name)!r}")
+    return s
 
 
 def parse_config(raw: dict) -> RunConfig:

@@ -31,23 +31,23 @@ Per-path random streams are spawned from the root seed with
 seed and p: the first paths of a batch equal a smaller batch.  On Linux,
 in a single-threaded process with a spare CPU, a batch of at least
 ``FORK_MIN_PATHS`` paths is drawn in two halves, the second by a forked
-child straight into the batch's arrays, which are then in shared memory;
-if no child runs or it sends nothing usable, the second half is drawn
-here.  The outputs are identical either way.  A hook that draws more
-from each stream (the solver's mode draws) may therefore run in the
-child, so it returns its values rather than storing them.
+child straight into the batch's arrays, which are then in shared memory.
+Unless the child exits cleanly, without an exception or a warning, the
+second half is drawn again here, so the outputs, warnings and exceptions
+are those of an inline draw.  A hook that draws more from each stream
+(the solver's mode draws) may run in the child, so it returns its values
+rather than storing them.
 """
 
 from __future__ import annotations
 
 import io
-import mmap
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._fork import _Child, _may_fork
+from ._fork import _Child, _empty, _may_fork
 
 STATE_BOUND = 1e12
 # Batches from this many paths draw their second half in a forked child.
@@ -348,16 +348,6 @@ def _draw_paths(spec: SddeSpec, grid: TimeGrid, seed: int, tables, then, lo: int
             arr[p] = v
 
 
-def _batch_array(n_paths: int, value, shared: bool) -> np.ndarray:
-    """An array for ``value`` per path; in anonymous shared memory when ``shared``."""
-    value = np.asarray(value)
-    shape = (n_paths,) + value.shape
-    nbytes = value.dtype.itemsize * int(np.prod(shape))
-    if not (shared and nbytes):  # mmap rejects length 0
-        return np.empty(shape, dtype=value.dtype)
-    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=value.dtype).reshape(shape)
-
-
 def _noise_batch(spec: SddeSpec, grid: TimeGrid, seed: int, n_paths: int, quantization, then=None):
     """``sample_noise_batch`` with a hook that draws more from each path's stream.
 
@@ -367,17 +357,17 @@ def _noise_batch(spec: SddeSpec, grid: TimeGrid, seed: int, n_paths: int, quanti
     Path 0 is drawn first; its values shape the output arrays.  From
     ``FORK_MIN_PATHS`` paths on, when ``_may_fork()`` holds, those arrays
     are in shared memory and a forked child draws the second half of the
-    batch into them while this process draws the first; without a usable
-    child this process draws both.  Each path keeps its own stream, so
-    the outputs are the same.
+    batch into them while this process draws the first; unless the child
+    exits cleanly this process draws both.  Each path keeps its own
+    stream, so the outputs are the same.
     """
     tables = _draw_tables(spec, grid, quantization)
     if n_paths == 0:
         return (np.empty((0, grid.n_steps, spec.brownian_dim)),
                 np.empty((0, grid.n_steps, spec.n_marks), dtype=np.int64))
-    first = _path_values(spec, grid, seed, tables, then, 0)
+    first = [np.asarray(v) for v in _path_values(spec, grid, seed, tables, then, 0)]
     fork = n_paths >= FORK_MIN_PATHS and _may_fork()
-    out = [_batch_array(n_paths, v, fork) for v in first]
+    out = [_empty((n_paths,) + v.shape, v.dtype, fork) for v in first]
     for arr, v in zip(out, first):
         arr[0] = v
     half = max(n_paths // 2, 1)  # path 0 is drawn already

@@ -43,12 +43,13 @@ standard-error blocks run as the groups of one pass over all levels up to
 that one: each group is fitted on its own rows, and only the fits and the
 products with their coefficients are per group.  On Linux, in a
 single-threaded process with a spare CPU, a forked child runs that block
-pass for every level up to k_max beside the main pass; its block roots
-are taken when the main pass also ends at k_max (and computed inline if
-the child sent nothing usable), and otherwise the child is killed and
-the blocks run inline.  The outputs are identical either way, and the
-child's warnings and exception reach the caller where the inline pass
-would have raised them.
+pass for every level up to k_max beside the main pass, writing its block
+roots into an array in shared memory.  They are taken when the main pass
+also ends at k_max and the child exited cleanly, without an exception or
+a warning; after any other outcome the block pass runs again inline.
+When the main pass stops below k_max the child is killed and the blocks
+run inline.  The outputs, warnings and exceptions are therefore those of
+an inline run.
 ``ValueSurface`` stores the coefficients stacked per (step, mode) and
 evaluates value tables for the policy through the same
 ``_level_values``, so decisions compare exactly what training compared.
@@ -72,7 +73,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._fork import _Child, _may_fork
+from ._fork import _Child, _empty, _may_fork
 from .controls import SwitchingProblem, reject_history_reward, validate_target_only
 from .sdde import TimeGrid, _euler_step, _lookback, _noise_batch, sample_noise_batch
 
@@ -662,18 +663,21 @@ def solve(
     edges = np.linspace(0, P, n_blocks + 1).astype(int)
     blocks = [slice(lo_e, hi_e) for lo_e, hi_e in zip(edges[:-1], edges[1:])]
 
-    def run_blocks(levels: int) -> np.ndarray:
-        """Each block's raw root values, (levels, n_modes, n_blocks)."""
+    fork = n_blocks >= 2 and _may_fork()
+    roots = _empty((k_max + 1, m, n_blocks), float, fork)
+
+    def run_blocks(levels: int) -> None:
+        """Writes each block's raw root values into ``roots[:levels]``."""
         ens_blk = (pre, post, _fit_rows(mode_of_step, labels, blocks), g_pre)
         first = _backward_pass(problem, grid, fm, ens_blk, blocks, levels, None, cost)
-        return first.tab[:, :, edges[:-1]]
+        roots[:levels] = first.tab[:, :, edges[:-1]]
 
     # With a spare CPU, a forked child runs the blocks for every level up
     # to k_max beside the main pass.  Its roots are taken when the main
     # pass also ends at k_max; otherwise it is killed and the blocks run
     # here for the levels kept.  Either way the roots come from the same
     # call on the same inputs.
-    with _Child.beside(n_blocks >= 2 and _may_fork(), run_blocks, k_max + 1) as all_levels:
+    with _Child.beside(fork, run_blocks, k_max + 1) as all_levels:
         # The main pass runs level by level: it is the stopping search, and
         # no level above the stopping one gets fitted.
         moved_prev = main_level(0, None)
@@ -718,14 +722,14 @@ def solve(
         for k in range(k_final + 1):
             diag.probe_values[k] = probe_stack[k]
         if n_blocks >= 2 and k_final == k_max:
-            roots = all_levels()
+            all_levels()
     if n_blocks >= 2:
         if k_final < k_max:
-            roots = run_blocks(k_final + 1)
+            run_blocks(k_final + 1)
         block_roots = {key: [] for key in root_value}
         for j in range(n_blocks):
             for b in labels:
-                fitted = _isotonic(roots[:, b - 1, j])
+                fitted = _isotonic(roots[: k_final + 1, b - 1, j])
                 for k in range(k_final + 1):
                     block_roots[(k, b)].append(float(fitted[k]))
         for key, vals_blk in block_roots.items():

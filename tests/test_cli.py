@@ -204,6 +204,16 @@ def test_compare_oracle_small_affine(tmp_path):
         assert row["abs_diff"] <= 0.05
 
 
+def test_compare_oracle_checks_the_lattice_before_solving(tmp_path, capsys, monkeypatch):
+    def unreached(*args, **kwargs):
+        raise AssertionError("solve ran before the lattice was built")
+
+    monkeypatch.setattr(cli, "solve", unreached)
+    cfg = write_config(tmp_path, "affine.json", {"family": "affine", "params": {"n_steps": 20}})
+    assert run_cli(["compare-oracle", "--config", cfg, "--seed", "2", "--out", str(tmp_path / "cmp")]) == 1
+    assert "over the budget" in capsys.readouterr().err
+
+
 def test_water_value_cli(tmp_path):
     cfg = write_config(tmp_path, "hydro.json", {"family": "hydro", "params": {"n_steps": 16}})
     out = tmp_path / "wv"

@@ -43,6 +43,15 @@ def test_solver_settings_validated():
         {"quantization": 5},
         {"k_max": -1},
         {"basis": "chebyshev"},
+        {"n_paths": "100"},
+        {"n_paths": 50.5},
+        {"n_paths": True},
+        {"degree": 2.5},
+        {"k_max": 1.5},
+        {"k_max": True},
+        {"quantization": 2.0},
+        {"cross_terms": "no"},
+        {"cross_terms": 0},
     ):
         with pytest.raises(ConfigError):
             parse_config({**base, "solver": bad})

@@ -3,6 +3,7 @@
 import io
 import os
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -215,7 +216,8 @@ class HookError(Exception):
 @pytest.mark.parametrize("error, last_half", [(HookError, True), (KeyboardInterrupt, False)])
 def test_hook_exception_reaches_the_caller_and_reaps_the_child(error, last_half, fork, monkeypatch):
     # The last path is in the child's half, path 1 in this process's
-    # (path 0 is drawn before the fork).
+    # (path 0 is drawn before the fork).  A child's exception is raised
+    # again by this process's rerun of its half.
     children = _forcing_fork(monkeypatch, fork)
     n_paths = sdde_module.FORK_MIN_PATHS + 1
     failing = n_paths - 1 if last_half else 1
@@ -230,8 +232,38 @@ def test_hook_exception_reaches_the_caller_and_reaps_the_child(error, last_half,
     with pytest.raises(error, match=f"no draw for path {failing}"):
         _noise_batch(two_mark_spec(), TimeGrid(1.0, 8), 41, n_paths, None, then=then)
     assert len(children) == int(fork)
-    assert len(raised_here) == int(not (fork and last_half))
+    assert len(raised_here) == 1
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize("action", ["always", "default"])
+def test_hook_warning_in_the_child_half_is_issued_by_this_process(action, monkeypatch):
+    # Two paths of the child's half warn from one location with one
+    # message: "default" shows it once, "always" twice.
+    n_paths = sdde_module.FORK_MIN_PATHS + 1
+    warning_paths = [n_paths - 2, n_paths - 1]
+    warned_here = []  # a forked child's appends stay in the child
+
+    def then(p, rng):
+        if p in warning_paths:
+            warned_here.append(p)
+            warnings.warn("thin draw in the second half", UserWarning)
+        return (rng.random(),)
+
+    seen = []
+    for fork in (True, False):
+        children = _forcing_fork(monkeypatch, fork)
+        warned_here.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            out = _noise_batch(two_mark_spec(), TimeGrid(1.0, 8), 41, n_paths, None, then=then)
+        assert len(children) == int(fork) and warned_here == warning_paths
+        _assert_no_child_left()
+        seen.append((out, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]))
+    (forked, forked_shown), (inline, inline_shown) = seen
+    assert forked_shown == inline_shown
+    assert len(inline_shown) == (2 if action == "always" else 1)
+    assert all(np.array_equal(a, b) for a, b in zip(forked, inline))
 
 
 def test_a_child_that_dies_before_sending_leaves_its_half_to_this_process(monkeypatch):

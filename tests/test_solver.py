@@ -302,6 +302,27 @@ def test_forked_blocks_give_the_inline_outputs(name, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
+def test_a_clean_childs_block_roots_are_used_without_a_rerun(monkeypatch):
+    children = _forcing_fork(monkeypatch, True)
+    backward_pass = solver_module._backward_pass
+    grouped_here = []  # a forked child's appends stay in the child
+
+    def counting(problem, grid, fm, ens, groups, *args):
+        if len(groups) > 1:
+            grouped_here.append(len(groups))
+        return backward_pass(problem, grid, fm, ens, groups, *args)
+
+    monkeypatch.setattr(solver_module, "_backward_pass", counting)
+    problem, grid, kwargs = _pinned_problem("hydro")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        surf = solve(problem, grid, **kwargs)
+    # The main pass ends at k_max, so the child's roots are read.
+    assert surf.k_levels == surf.diagnostics.k_max_requested
+    assert [child.used for child in children] == [True] and grouped_here == []
+    _assert_no_child_left()
+
+
 class BlockPassError(Exception):
     pass
 
@@ -323,7 +344,7 @@ def test_block_pass_exception_reaches_the_caller(fork, monkeypatch):
     with pytest.raises(BlockPassError) as info:
         solve(problem, grid, **kwargs)
     assert str(info.value) == "no fit on 8 blocks"
-    assert (len(children), len(raised_here)) == ((1, 0) if fork else (0, 1))
+    assert (len(children), len(raised_here)) == ((1, 1) if fork else (0, 1))
     _assert_no_child_left()
 
 
