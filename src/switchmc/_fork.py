@@ -5,9 +5,10 @@ half of a large batch.  Both write their results into arrays that the
 parent allocated with ``_empty`` in shared memory before the fork, and
 return nothing.  The parent reads nothing else from the child but its
 exit status: 0 only when the call returned without an exception or a
-warning.  On any other outcome (an exception, a warning, a crash or a
-kill) the parent runs the same call itself, so its outputs, warnings and
-exceptions are those of the inline run.
+warning that the caller's filters would show; the child inherits those
+filters.  On any other outcome (an exception, such a warning, a crash or
+a kill) the parent runs the same call itself, so its outputs, warnings
+and exceptions are those of the inline run.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ class _Child:
             status = 1
             try:
                 with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
                     fn(*args)
                 status = int(bool(caught))
             finally:

@@ -63,9 +63,9 @@ def _ensure_out(directory: str) -> str:
     return directory
 
 
-def _probe_states(problem, grid, seed: int, n_paths: int = 16, cap: int = 256) -> np.ndarray:
-    """States visited by a small uncontrolled batch, used as check probes."""
-    dw, counts = sample_noise_batch(problem.dynamics, grid, seed, n_paths)
+def _probe_states(problem, grid, seed: int) -> np.ndarray:
+    """About 256 of the states visited by 16 uncontrolled paths, used as check probes."""
+    dw, counts = sample_noise_batch(problem.dynamics, grid, seed, 16)
     states, _ = simulate_batch(
         problem.dynamics,
         grid,
@@ -76,7 +76,7 @@ def _probe_states(problem, grid, seed: int, n_paths: int = 16, cap: int = 256) -
         initial_mode=problem.modes.initial,
     )
     flat = states.reshape(-1, states.shape[2])
-    stride = max(1, flat.shape[0] // cap)
+    stride = max(1, flat.shape[0] // 256)
     return flat[::stride]
 
 

@@ -185,11 +185,15 @@ def parse_config(raw: dict) -> RunConfig:
     return cfg
 
 
+def _refuse_constant(name: str):
+    raise ConfigError(f"{name} is not a number; NaN and Infinity are refused")
+
+
 def load_config(path: str) -> RunConfig:
     """Read and validate a JSON config file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_refuse_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -100,7 +100,7 @@ class SwitchingCostModel:
 
     def __call__(self, b_from: int, b_to: int, t: float) -> float:
         c = float(self.cost(b_from, b_to, t))
-        if c < 0.0:
+        if not c >= 0.0:
             raise ValueError(f"negative switch cost c({b_from},{b_to},{t}) = {c}")
         return c
 
@@ -138,12 +138,8 @@ class JumpMapFamily:
     target_only: bool = False
 
     @classmethod
-    def identity(cls, reduction_length: int = 2) -> "JumpMapFamily":
-        return cls(
-            apply=lambda bf, bt, t, x: x,
-            reduction_length=reduction_length,
-            target_only=True,
-        )
+    def identity(cls) -> "JumpMapFamily":
+        return cls(apply=lambda bf, bt, t, x: x, target_only=True)
 
     def reset(self, b_from: int, b_to: int, t: float, x: np.ndarray) -> np.ndarray:
         """``apply`` on the batch ``x`` as a float array of ``x``'s shape."""

@@ -98,14 +98,12 @@ class HydroParams:
     def __post_init__(self):
         if self.kappa1 < 1 or self.kappa2 < 1:
             raise ValueError("each plant needs at least one positive turbine level")
-        if self.switch_base <= 0.0:
-            raise ValueError("switch_base must be strictly positive")
         if not self.w1 >= self.w2:
             raise ValueError("upstream terminal water value must be >= downstream")
-        for name in ("alpha1", "alpha2", "z1_ref", "z2_ref", "horizon"):
+        for name in ("switch_base", "alpha1", "alpha2", "z1_ref", "z2_ref", "horizon"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.delay < 0.0:
+        if not self.delay >= 0.0:
             raise ValueError("delay must be nonnegative")
 
     @property
@@ -289,7 +287,7 @@ def reservoir_marginals(
     plants (and carries the larger terminal weight), so its marginal
     should come out at least as large as the downstream one.
     """
-    if bump <= 0.0:
+    if not bump > 0.0:
         raise ValueError("bump must be strictly positive")
     base = _hydro_surface(params, n_paths, seed, k_max).y0
     up = _hydro_surface(replace(params, z1_0=params.z1_0 + bump), n_paths, seed, k_max).y0

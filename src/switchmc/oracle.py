@@ -37,6 +37,9 @@ __all__ = [
     "enumerate_controls",
 ]
 
+NODE_BUDGET = 100_000
+MAX_CONTEXTS = 10_000_000
+
 
 @dataclass(frozen=True)
 class OracleInstance:
@@ -101,14 +104,13 @@ def build_lattice(
     problem: SwitchingProblem,
     grid: TimeGrid,
     branching: int = 2,
-    node_budget: int = 100_000,
 ) -> OracleInstance:
     """Build the scenario lattice for a problem.
 
     Levels equal grid.n_steps.  Node states are propagated by the same
     Euler step as the simulation module with the initial mode held fixed;
     with zero volatility all siblings carry equal states.  Errors if the
-    node count would exceed ``node_budget``.
+    node count would exceed ``NODE_BUDGET``.
     """
     spec = problem.dynamics
     vals, probs, p_jump = _quantized_law(spec, grid, branching)
@@ -118,8 +120,8 @@ def build_lattice(
     b_count = len(edges)
     levels = grid.n_steps
     n_nodes = (b_count ** (levels + 1) - 1) // (b_count - 1)
-    if n_nodes > node_budget:
-        raise ValueError(f"lattice needs {n_nodes} nodes, over the budget of {node_budget}")
+    if n_nodes > NODE_BUDGET:
+        raise ValueError(f"lattice needs {n_nodes} nodes, over the budget of {NODE_BUDGET}")
 
     pres = tuple(tuple(row) for row in spec.presegment(grid))
     root_window = pres + (tuple(spec.initial_state()),)
@@ -179,7 +181,6 @@ class OracleValues:
 
     root: np.ndarray
     table: dict
-    k_max: int
 
     def root_value(self, k: int, b: int) -> float:
         return float(self.root[k, b - 1])
@@ -251,7 +252,7 @@ def exact_dp(instance: OracleInstance, k_max: int, with_table: bool = True) -> O
                 for b in labels:
                     for k in range(k_max + 1):
                         table[(node, b, k)] = value(node, b, k, instance.windows[node])
-    return OracleValues(root=root, table=table, k_max=k_max)
+    return OracleValues(root=root, table=table)
 
 
 @dataclass(frozen=True)
@@ -261,13 +262,13 @@ class EnumerationResult:
     contexts: int
 
 
-def enumerate_controls(instance: OracleInstance, k_max: int, max_contexts: int = 10_000_000) -> EnumerationResult:
+def enumerate_controls(instance: OracleInstance, k_max: int) -> EnumerationResult:
     """Maximize over every adapted control by exhaustive recursion.
 
     At each information node the recursion tries every switch chain the
     remaining budget allows (mode decisions per node, no self-switches)
     and averages child values under the branch probabilities, with no
-    value memoization.  Raises RuntimeError beyond ``max_contexts``
+    value memoization.  Raises RuntimeError beyond ``MAX_CONTEXTS``
     explored contexts.
     """
     problem = instance.problem
@@ -295,8 +296,8 @@ def enumerate_controls(instance: OracleInstance, k_max: int, max_contexts: int =
 
     def explore(node: int, b: int, k: int, window: tuple):
         counter[0] += 1
-        if counter[0] > max_contexts:
-            raise RuntimeError(f"enumeration exceeded {max_contexts} contexts")
+        if counter[0] > MAX_CONTEXTS:
+            raise RuntimeError(f"enumeration exceeded {MAX_CONTEXTS} contexts")
         kids = tree.children[node]
         if not kids:
             return _scalar_terminal(problem, window[-1]), ()

@@ -49,6 +49,7 @@ import numpy as np
 
 from ._fork import _Child, _empty, _may_fork
 
+# Divergence guard on the euclidean norm of the state.
 STATE_BOUND = 1e12
 # Batches from this many paths draw their second half in a forked child.
 # A fork and the child's page faults on the shared arrays cost
@@ -176,8 +177,6 @@ class SddeSpec:
         Lookback lag; must be a grid multiple (checked per grid).
     initial_segment : callable
         ``initial_segment(s) -> (dim,)`` for s in [-delay, 0].
-    state_bound : float
-        Divergence guard on the euclidean norm of the state.
     """
 
     dim: int
@@ -189,18 +188,17 @@ class SddeSpec:
     marks: Optional[MarkDistribution] = None
     delay: float = 0.0
     initial_segment: Callable = lambda s: np.zeros(1)
-    state_bound: float = STATE_BOUND
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
         if self.brownian_dim < 1:
             raise ValueError("brownian_dim must be at least 1")
-        if self.jump_intensity < 0.0:
+        if not self.jump_intensity >= 0.0:
             raise ValueError("jump_intensity must be nonnegative")
         if self.jump_intensity > 0.0 and (self.jump_coeff is None or self.marks is None):
             raise ValueError("jump_intensity > 0 requires jump_coeff and marks")
-        if self.delay < 0.0:
+        if not self.delay >= 0.0:
             raise ValueError("delay must be nonnegative")
 
     def delay_steps(self, grid: TimeGrid) -> int:
@@ -422,7 +420,7 @@ def euler_increment(
 
 
 def _check_state(spec: SddeSpec, x: np.ndarray, step: int) -> None:
-    if not np.all(np.isfinite(x)) or np.linalg.norm(x, axis=1).max() > spec.state_bound:
+    if not np.all(np.isfinite(x)) or np.linalg.norm(x, axis=1).max() > STATE_BOUND:
         raise DivergedError(step)
 
 
@@ -453,7 +451,7 @@ def _euler_step(
     ``mode`` holds each path's mode on [t_i, t_{i+1}); ``brownian`` and
     ``jump_counts`` are the whole batch's noise, as from
     :func:`sample_noise_batch`.  Raises DivergedError(i + 1) when a new
-    state is non-finite or beyond ``state_bound``.
+    state is non-finite or beyond ``STATE_BOUND``.
     """
     x_new = np.empty_like(x)
     for b in np.unique(mode):

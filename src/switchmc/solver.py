@@ -68,7 +68,7 @@ import functools
 import io
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -141,10 +141,6 @@ class FitInfo:
     n_features: int
     used_ridge: bool
     lsq: tuple = field(repr=False, compare=False)  # (design, kept columns, target, solution)
-
-    @property
-    def rank_deficient(self) -> bool:
-        return self.rank < self.n_features
 
     @functools.cached_property
     def resid_std(self) -> np.ndarray:
@@ -387,6 +383,12 @@ def _fit_rows(mode_of_step, labels, groups):
 
 @dataclass
 class SolveDiagnostics:
+    """``probe_values`` and ``probe_se`` are (k_levels + 1, n_probes) arrays.
+
+    Row k holds level k at the probe states, ordered by mode, probe time
+    and path: values projected nondecreasing in k, and raw design SEs.
+    """
+
     k_levels: int = 0
     k_max_requested: int = 0
     converged: bool = False
@@ -395,8 +397,8 @@ class SolveDiagnostics:
     rank_deficient_fits: int = 0
     ridge_fits: int = 0
     empty_subset_fits: int = 0
-    probe_values: dict = field(default_factory=dict)
-    probe_se: dict = field(default_factory=dict)
+    probe_values: Optional[np.ndarray] = None
+    probe_se: Optional[np.ndarray] = None
     root_values: dict = field(default_factory=dict)
     root_se: dict = field(default_factory=dict)
 
@@ -590,10 +592,9 @@ def solve(
         problem, grid, n_paths, seed, quantization, EXPLORE_PROB
     )
     use_delay = d > 0
-    P = n_paths
     p = fm.n_features(problem.dynamics.dim, use_delay)
     probe_times = sorted({0, n // 4, n // 2, (3 * n) // 4} - {n})
-    q = min(PROBE_PATHS, P)
+    q = min(PROBE_PATHS, n_paths)
     check = validate_target_only(
         problem.jump_maps, modes, pre[:q, probe_times].reshape(-1, pre.shape[2]),
         grid.times[probe_times],
@@ -601,7 +602,7 @@ def solve(
     if not check.ok:
         raise ValueError(f"jump maps declared target_only are not: {check.detail}")
 
-    whole = [slice(0, P)]
+    whole = [slice(0, n_paths)]
     g_pre = np.asarray(problem.reward.terminal(pre[:, n]), dtype=float)
     ens_full = (pre, post, _fit_rows(mode_of_step, labels, whole), g_pre)
     cost = np.stack([_switch_costs(problem, t) for t in grid.times[:n]])
@@ -609,23 +610,23 @@ def solve(
     diag = SolveDiagnostics(k_max_requested=k_max)
     coef = np.zeros((n, m, k_max + 1, p))
     target_range = np.zeros((n, m, k_max + 1, 2))
-    root_value = {}
-    root_se = {}
+    # Per (k, mode, probe time, path); time 0 is a probe time and every
+    # path starts at the initial state, so [k, b - 1, 0, 0] is the root.
+    probe = np.empty((k_max + 1, m, len(probe_times), q))
+    probe_se = np.empty_like(probe)
 
     def main_level(k: int, below):
         """Level k on the full ensemble; returns its post-switch table.
 
-        Records the level's fits, root values and probe values with
-        their design-conditional standard errors.  Regression targets
-        stay raw; root and probe values are projected onto the
-        nondecreasing-in-k cone once the budget loop finishes, since that
-        is a property of the quantity they estimate.  Clamping the
-        training targets instead would rectify fit noise upward at every
-        step and compound that bias through the backward recursion.
+        Records the level's fits and its probe values with their
+        design-conditional standard errors.  Regression targets stay raw;
+        probe values are projected onto the nondecreasing-in-k cone once
+        the budget loop finishes, since that is a property of the
+        quantity they estimate.  Clamping the training targets instead
+        would rectify fit noise upward at every step and compound that
+        bias through the backward recursion.
         """
-        moved_k = np.empty((n, m, P))
-        probe_vals = {}
-        probe_ses = {}
+        moved_k = np.empty((n, m, n_paths))
 
         def record(step: _Step):
             i = step.i
@@ -633,22 +634,15 @@ def solve(
             coef[i, :, k] = step.coef[0, :, 0]
             target_range[i, :, k] = step.target_range[0, :, 0]
             diag.empty_subset_fits += step.n_empty
-            for b, info in zip(labels, step.fits):
-                if info.rank_deficient:
-                    diag.rank_deficient_fits += 1
-                if info.used_ridge:
-                    diag.ridge_fits += 1
-                if i in probe_times:
-                    probe_vals[(b, i)] = step.tab[0, b - 1, :q]
-                    probe_ses[(b, i)] = _prediction_se(info, step.A_pre[:q])
+            diag.rank_deficient_fits += sum(info.rank < info.n_features for info in step.fits)
+            diag.ridge_fits += sum(info.used_ridge for info in step.fits)
+            if i in probe_times:
+                j = probe_times.index(i)
+                probe[k, :, j] = step.tab[0, :, :q]
+                for b, info in zip(labels, step.fits):
+                    probe_se[k, b - 1, j] = _prediction_se(info, step.A_pre[:q])
 
-        first = _backward_pass(problem, grid, fm, ens_full, whole, 1, below, cost, record)
-        for b, info in zip(labels, first.fits):
-            root_value[(k, b)] = float(first.tab[0, b - 1, 0])
-            root_se[(k, b)] = float(_prediction_se(info, first.A_pre[:1])[0])
-        keys = [(b, i) for b in labels for i in probe_times]
-        diag.probe_values[k] = np.concatenate([probe_vals[key] for key in keys])
-        diag.probe_se[k] = np.concatenate([probe_ses[key] for key in keys])
+        _backward_pass(problem, grid, fm, ens_full, whole, 1, below, cost, record)
         return moved_k
 
     # The design-conditional root SE treats the regression targets as
@@ -659,8 +653,8 @@ def solve(
     # The blocks are the groups of one time-major pass that fits all
     # their levels, so they need from the main pass only its stopping
     # level.
-    n_blocks = min(SE_BLOCKS, P // 2)
-    edges = np.linspace(0, P, n_blocks + 1).astype(int)
+    n_blocks = min(SE_BLOCKS, n_paths // 2)
+    edges = np.linspace(0, n_paths, n_blocks + 1).astype(int)
     blocks = [slice(lo_e, hi_e) for lo_e, hi_e in zip(edges[:-1], edges[1:])]
 
     fork = n_blocks >= 2 and _may_fork()
@@ -684,13 +678,13 @@ def solve(
         k_final = 0
         for k in range(1, k_max + 1):
             moved_prev = main_level(k, moved_prev)
-            root_gap = max(abs(root_value[(k, b)] - root_value[(k - 1, b)]) for b in labels)
-            probe_diff = np.abs(diag.probe_values[k] - diag.probe_values[k - 1])
-            probe_gap = float(np.max(probe_diff))
+            step_up = probe[k] - probe[k - 1]
+            probe_diff = np.abs(step_up)
+            root_gap = float(np.max(probe_diff[:, 0, 0]))
             # A probe only counts as unsettled when its change is resolvable:
             # larger than three paired standard errors.  Noise-free problems
             # have zero SE, so this nets out to the raw gap there.
-            pair_se = np.hypot(diag.probe_se[k], diag.probe_se[k - 1])
+            pair_se = np.hypot(probe_se[k], probe_se[k - 1])
             probe_gap_net = float(np.max(np.maximum(probe_diff - 3.0 * pair_se, 0.0)))
             gap = max(root_gap, probe_gap_net)
             diag.gap_by_k.append(
@@ -698,45 +692,38 @@ def solve(
                     "k": k,
                     "gap": gap,
                     "root_gap": root_gap,
-                    "probe_gap": probe_gap,
+                    "probe_gap": float(np.max(probe_diff)),
                     "probe_gap_net": probe_gap_net,
-                    "min_probe_increment": float(
-                        np.min(diag.probe_values[k] - diag.probe_values[k - 1])
-                    ),
+                    "min_probe_increment": float(np.min(step_up)),
                 }
             )
             k_final = k
-            y0_k = root_value[(k, modes.initial)]
-            if gap < GAP_TOL_SCALE * (1.0 + abs(y0_k)):
+            if gap < GAP_TOL_SCALE * (1.0 + abs(probe[k, modes.initial - 1, 0, 0])):
                 diag.converged = True
                 break
+        levels = k_final + 1
         diag.k_levels = k_final
         diag.final_gap = diag.gap_by_k[-1]["gap"] if diag.gap_by_k else 0.0
-        for b in labels:
-            fitted = _isotonic(np.array([root_value[(k, b)] for k in range(k_final + 1)]))
-            for k in range(k_final + 1):
-                root_value[(k, b)] = float(fitted[k])
-        probe_stack = np.vstack([diag.probe_values[k] for k in range(k_final + 1)])
-        for col in range(probe_stack.shape[1]):
-            probe_stack[:, col] = _isotonic(probe_stack[:, col])
-        for k in range(k_final + 1):
-            diag.probe_values[k] = probe_stack[k]
+        diag.probe_values = probe[:levels].reshape(levels, -1)
+        diag.probe_se = probe_se[:levels].reshape(levels, -1)
+        # The columns are views, so this projects ``probe``, roots included.
+        for col in diag.probe_values.T:
+            col[:] = _isotonic(col)
         if n_blocks >= 2 and k_final == k_max:
             all_levels()
+    root_se_k = probe_se[:levels, :, 0, 0]
     if n_blocks >= 2:
         if k_final < k_max:
-            run_blocks(k_final + 1)
-        block_roots = {key: [] for key in root_value}
-        for j in range(n_blocks):
-            for b in labels:
-                fitted = _isotonic(roots[: k_final + 1, b - 1, j])
-                for k in range(k_final + 1):
-                    block_roots[(k, b)].append(float(fitted[k]))
-        for key, vals_blk in block_roots.items():
-            spread = float(np.std(vals_blk, ddof=1) / np.sqrt(n_blocks))
-            root_se[key] = max(root_se[key], spread)
-    diag.root_values = {f"{k},{b}": val for (k, b), val in root_value.items()}
-    diag.root_se = {f"{k},{b}": val for (k, b), val in root_se.items()}
+            run_blocks(levels)
+        for col in roots[:levels].reshape(levels, -1).T:
+            col[:] = _isotonic(col)
+        spread = roots[:levels].std(axis=2, ddof=1) / np.sqrt(n_blocks)
+        root_se_k = np.maximum(root_se_k, spread)
+    keys = [(k, b) for k in range(levels) for b in labels]
+    root_value = {(k, b): float(probe[k, b - 1, 0, 0]) for k, b in keys}
+    root_se = {(k, b): float(root_se_k[k, b - 1]) for k, b in keys}
+    diag.root_values = {f"{k},{b}": root_value[k, b] for k, b in keys}
+    diag.root_se = {f"{k},{b}": root_se[k, b] for k, b in keys}
     if diag.empty_subset_fits:
         warnings.warn(
             f"{diag.empty_subset_fits} regressions had no training path in their mode "
@@ -755,8 +742,8 @@ def solve(
         use_delay=use_delay,
         k_levels=k_final,
         train_seed=seed,
-        coef=coef[:, :, : k_final + 1],
-        target_range=target_range[:, :, : k_final + 1],
+        coef=coef[:, :, :levels],
+        target_range=target_range[:, :, :levels],
         switch_cost=cost,
         root_value=root_value,
         root_se=root_se,
@@ -843,7 +830,7 @@ def certify(
     control the policy induces, so it lower-bounds the true value up to
     Monte Carlo error; ``gap`` is (surface root value) - (certified
     value).  The seed must differ from the training seed.  A state that
-    turns non-finite or leaves ``state_bound`` raises DivergedError with
+    turns non-finite or leaves ``STATE_BOUND`` raises DivergedError with
     the step index, as the simulator does.
 
     Switches at one instant are resolved in rounds, one decision per mode
@@ -891,8 +878,6 @@ def certify(
             switched_any = False
             for b in np.unique(mode):
                 sel = np.flatnonzero(mode == b)
-                if sel.size == 0:
-                    continue
                 xs = x[sel]
                 prev = last.get(b)
                 if prev and np.array_equal(prev[0], sel) and np.array_equal(prev[1], xs):
@@ -970,16 +955,7 @@ def surface_to_csv(surface: ValueSurface, fileobj: io.TextIOBase) -> None:
 
 
 def diagnostics_to_json(diag: SolveDiagnostics) -> str:
-    payload = {
-        "k_levels": diag.k_levels,
-        "k_max_requested": diag.k_max_requested,
-        "converged": diag.converged,
-        "final_gap": diag.final_gap,
-        "gap_by_k": diag.gap_by_k,
-        "rank_deficient_fits": diag.rank_deficient_fits,
-        "ridge_fits": diag.ridge_fits,
-        "empty_subset_fits": diag.empty_subset_fits,
-        "root_values": diag.root_values,
-        "root_se": diag.root_se,
-    }
+    """Every diagnostics field but the two probe arrays, as JSON."""
+    payload = {f.name: getattr(diag, f.name) for f in fields(diag)
+               if f.name not in ("probe_values", "probe_se")}
     return json.dumps(payload, sort_keys=True, indent=2)

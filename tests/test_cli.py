@@ -100,6 +100,22 @@ def test_bad_family_parameter_is_a_config_error(tmp_path, capsys, payload):
     assert capsys.readouterr().err.startswith("config error: bad ")
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"family": "hydro", "params": {"rain_intensity": float("nan")}},
+        {"family": "affine", "params": {"jump_intensity": float("nan")}},
+        {"family": "gbm", "params": {"sigma": float("inf")}},
+    ],
+    ids=["hydro-rain-NaN", "affine-jumps-NaN", "gbm-sigma-Infinity"],
+)
+def test_nan_and_infinity_literals_are_config_errors(tmp_path, capsys, payload):
+    cfg = write_config(tmp_path, "nan.json", payload)
+    argv = ["simulate", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "out")]
+    assert run_cli(argv) == 2
+    assert "NaN and Infinity are refused" in capsys.readouterr().err
+
+
 def test_missing_seed_is_usage_error(tmp_path):
     cfg = write_config(tmp_path, "tm.json", {"family": "two_mode_deterministic", "params": {}})
     with pytest.raises(SystemExit) as excinfo:

@@ -170,6 +170,22 @@ def test_reservoir_marginals_ordering_small():
         reservoir_marginals(p, bump=0.0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: HydroParams(switch_base=np.nan), "switch_base"),
+        (lambda: HydroParams(delay=np.nan), "delay"),
+        (lambda: build_hydro_problem(HydroParams(rain_intensity=np.nan)), "jump_intensity"),
+        (lambda: reservoir_marginals(small_params(n_steps=8), bump=np.nan, n_paths=50, k_max=1),
+         "bump"),
+    ],
+    ids=["switch_base", "delay", "rain_intensity", "bump"],
+)
+def test_nan_parameters_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_params_replace_is_cheap():
     p = HydroParams()
     q = replace(p, z1_0=0.9)

@@ -11,6 +11,7 @@ from switchmc.families import (
     random_tree_problem,
     two_mode_flow_problem,
 )
+from switchmc import oracle
 from switchmc.oracle import build_lattice, enumerate_controls, exact_dp
 from switchmc.sdde import sample_noise, sample_noise_batch
 from switchmc.solver import solve
@@ -77,7 +78,7 @@ def test_sampler_and_lattice_reject_the_same_inputs(case):
 def test_node_budget_guard():
     problem, grid = two_mode_flow_problem(n_steps=16)
     with pytest.raises(ValueError):
-        build_lattice(problem, grid, branching=2, node_budget=100)
+        build_lattice(problem, grid, branching=2)
 
 
 def test_two_mode_exact_values():
@@ -151,7 +152,7 @@ def test_oracle_table_values_finite():
     assert all(np.isfinite(v) for v in vals.table.values())
 
 
-def test_oracle_restores_the_recursion_limit():
+def test_oracle_restores_the_recursion_limit(monkeypatch):
     # Both recursions need more room than the default limit; they must
     # hand it back, also when the enumeration gives up.
     problem, grid = random_tree_problem(seed=0, levels=3)
@@ -163,8 +164,9 @@ def test_oracle_restores_the_recursion_limit():
         assert sys.getrecursionlimit() == 1000
         assert enumerate_controls(inst, k_max=2).value == pytest.approx(exact, abs=1e-12)
         assert sys.getrecursionlimit() == 1000
+        monkeypatch.setattr(oracle, "MAX_CONTEXTS", 5)
         with pytest.raises(RuntimeError, match="contexts"):
-            enumerate_controls(inst, k_max=2, max_contexts=5)
+            enumerate_controls(inst, k_max=2)
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(before)

@@ -1,5 +1,6 @@
 """Simulator tests: grid mechanics, noise draws, Euler stepping, delay handling."""
 
+import dataclasses
 import io
 import os
 import pickle
@@ -54,6 +55,12 @@ def test_grid_basics():
         TimeGrid(1.0, 0)
     with pytest.raises(ValueError):
         TimeGrid(-1.0, 4)
+
+
+@pytest.mark.parametrize("name", ["jump_intensity", "delay"])
+def test_spec_refuses_nan(name):
+    with pytest.raises(ValueError, match=name):
+        dataclasses.replace(flat_spec(), **{name: float("nan")})
 
 
 def test_mark_distribution_validation():

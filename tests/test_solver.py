@@ -323,6 +323,33 @@ def test_a_clean_childs_block_roots_are_used_without_a_rerun(monkeypatch):
     _assert_no_child_left()
 
 
+def test_a_warning_the_caller_ignores_does_not_rerun_the_block_pass(monkeypatch):
+    children = _forcing_fork(monkeypatch, True)
+    backward_pass = solver_module._backward_pass
+    grouped_here = []  # a forked child's appends stay in the child
+
+    def counting(problem, grid, fm, ens, groups, *args):
+        if len(groups) > 1:
+            grouped_here.append(len(groups))
+        return backward_pass(problem, grid, fm, ens, groups, *args)
+
+    monkeypatch.setattr(solver_module, "_backward_pass", counting)
+    problem, grid, kwargs = _pinned_problem("hydro")
+    running = problem.reward.running
+
+    def warning(t, x, b):
+        warnings.warn(f"running reward of mode {b}", UserWarning)
+        return running(t, x, b)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("ignore")
+        surf = solve(_with_running(problem, warning), grid, **kwargs)
+    assert surf.k_levels == surf.diagnostics.k_max_requested
+    assert [child.used for child in children] == [True] and grouped_here == []
+    assert caught == []
+    _assert_no_child_left()
+
+
 class BlockPassError(Exception):
     pass
 
@@ -715,6 +742,32 @@ def test_certify_decides_again_when_a_mode_gets_new_states():
 
     report = certify(Scripted(surface=surf), n_paths=50, seed=1)
     assert report.switch_histogram == {2: 50}
+
+
+@pytest.mark.parametrize("name", ["hydro", "flow"])
+def test_roots_are_the_time_zero_probe_entries(name):
+    problem, grid, kwargs = _pinned_problem(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        surf = solve(problem, grid, **kwargs)
+    diag = surf.diagnostics
+    levels, m = surf.k_levels + 1, problem.modes.n_modes
+    # Probe columns run by mode, probe time and path; time 0 comes first.
+    values = diag.probe_values.reshape(levels, m, -1)
+    design_se = diag.probe_se.reshape(levels, m, -1)
+    assert sorted(surf.root_value) == [(k, b) for k in range(levels) for b in range(1, m + 1)]
+    for (k, b), value in surf.root_value.items():
+        assert value == values[k, b - 1, 0] == diag.root_values[f"{k},{b}"]
+        assert surf.root_se[k, b] >= design_se[k, b - 1, 0]
+    fields = {f.name for f in dataclasses.fields(diag)} - {"probe_values", "probe_se"}
+    assert set(json.loads(diagnostics_to_json(diag))) == fields
+
+
+def test_a_nan_switch_cost_is_refused():
+    problem, grid = two_mode_flow_problem(n_steps=4)
+    costs = dataclasses.replace(problem.costs, cost=lambda bf, bt, t: float("nan"))
+    with pytest.raises(ValueError, match="switch cost"):
+        solve(dataclasses.replace(problem, costs=costs), grid, n_paths=100, seed=0)
 
 
 def test_surface_csv_and_diagnostics_json():
