@@ -413,7 +413,8 @@ def evaluate_reward(
 
     Running rewards are accumulated at left endpoints, the terminal reward
     is taken at the (post-switch) horizon state and switch costs are
-    deducted exactly.  Inadmissible controls raise ValueError.
+    deducted exactly.  Inadmissible controls and non-finite path rewards
+    raise ValueError.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
@@ -431,4 +432,6 @@ def evaluate_reward(
         initial_mode=problem.modes.initial,
     )
     totals = reward_terms(problem, grid, control, states, modes)
+    if not np.isfinite(totals).all():
+        raise ValueError("path rewards are not finite: the rewards must be finite")
     return float(totals.mean()), float(totals.std(ddof=1) / np.sqrt(n_paths))

@@ -2,9 +2,9 @@
 
 Everything here is expressible in a JSON config (see the config module):
 an affine family with per-mode constants, a geometric (multiplicative)
-one-dimensional spec, a deterministic two-mode flow instance, a pure-cost
-instance and a seeded random generator of small affine instances used for
-oracle cross-checks.
+one-dimensional spec, a deterministic two-mode flow instance and a
+pure-cost instance (both affine, with the state fixed at 0) and a seeded
+random generator of small affine instances used for oracle cross-checks.
 """
 
 from __future__ import annotations
@@ -144,48 +144,31 @@ def two_mode_flow_problem(
     costs the same constant.  With the defaults the best control switches
     once at t = 0 for a total reward of rate_high * horizon - cost.
     """
-    rates = np.array([rate_low, rate_high])
-    grid = TimeGrid(horizon, n_steps)
-    spec = SddeSpec(
-        dim=1,
-        drift=lambda t, x, y, mode: np.zeros_like(x),
-        diffusion=lambda t, x, y, mode: np.zeros_like(x)[..., None],
-        initial_segment=lambda s: np.zeros(1),
+    return affine_problem(
+        horizon=horizon,
+        n_steps=n_steps,
+        x0=0.0,
+        vol_const=0.0,
+        run_const=(rate_low, rate_high),
+        cost_table=cost * (np.ones((2, 2)) - np.eye(2)),
+        loop_floor=2 * cost,
     )
-    problem = SwitchingProblem(
-        dynamics=spec,
-        modes=ModeSet(2, 1),
-        costs=SwitchingCostModel.from_table(cost * (np.ones((2, 2)) - np.eye(2)), loop_floor=2 * cost),
-        jump_maps=JumpMapFamily.identity(),
-        reward=RewardSpec(
-            running=lambda t, x, mode: np.full(x.shape[0], rates[mode - 1]),
-            terminal=lambda x: np.zeros(x.shape[0]),
-        ),
-    )
-    return problem, grid
 
 
 def pure_cost_problem(n_modes: int = 3, cost: float = 0.2, horizon: float = 1.0, n_steps: int = 8):
     """Zero rewards, flat state: every control is worth minus its cost."""
-    grid = TimeGrid(horizon, n_steps)
-    spec = SddeSpec(
-        dim=1,
-        drift=lambda t, x, y, mode: np.zeros_like(x),
-        diffusion=lambda t, x, y, mode: np.zeros_like(x)[..., None],
-        initial_segment=lambda s: np.zeros(1),
+    return affine_problem(
+        n_modes=n_modes,
+        horizon=horizon,
+        n_steps=n_steps,
+        x0=0.0,
+        drift_const=(0.0,) * n_modes,
+        vol_const=0.0,
+        run_const=(0.0,) * n_modes,
+        run_lin=(0.0,) * n_modes,
+        cost_table=cost * (np.ones((n_modes, n_modes)) - np.eye(n_modes)),
+        loop_floor=2 * cost,
     )
-    table = cost * (np.ones((n_modes, n_modes)) - np.eye(n_modes))
-    problem = SwitchingProblem(
-        dynamics=spec,
-        modes=ModeSet(n_modes, 1),
-        costs=SwitchingCostModel.from_table(table, loop_floor=2 * cost),
-        jump_maps=JumpMapFamily.identity(),
-        reward=RewardSpec(
-            running=lambda t, x, mode: np.zeros(x.shape[0]),
-            terminal=lambda x: np.zeros(x.shape[0]),
-        ),
-    )
-    return problem, grid
 
 
 def random_tree_problem(

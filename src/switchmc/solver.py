@@ -39,17 +39,14 @@ mode for all levels of the range, and hands the fitted coefficients to
 level by level on top of level k_lo-1's post-switch table.  The main
 pass calls it once per level, because it is also the stopping search and
 must not fit levels above the one where the family settles.  The
-standard-error blocks run as the groups of one pass over all levels up to
-that one: each group is fitted on its own rows, and only the fits and the
+standard-error blocks run as the groups of one pass over every level up
+to k_max: each group is fitted on its own rows, and only the fits and the
 products with their coefficients are per group.  On Linux, in a
 single-threaded process with a spare CPU, a forked child runs that block
-pass for every level up to k_max beside the main pass, writing its block
-roots into an array in shared memory.  They are taken when the main pass
-also ends at k_max and the child exited cleanly, without an exception or
-a warning; after any other outcome the block pass runs again inline.
-When the main pass stops below k_max the child is killed and the blocks
-run inline.  The outputs, warnings and exceptions are therefore those of
-an inline run.
+pass beside the main pass and writes its block roots into shared memory.
+Once the main pass ends they are taken if the child exited cleanly,
+without an exception or a warning; otherwise the block pass runs again
+inline.  The outputs, warnings and exceptions are those of an inline run.
 ``ValueSurface`` stores the coefficients stacked per (step, mode) and
 evaluates value tables for the policy through the same
 ``_level_values``, so decisions compare exactly what training compared.
@@ -91,7 +88,6 @@ __all__ = [
 ]
 
 GAP_TOL_SCALE = 1e-3
-RIDGE_SCALE = 1e-8
 SE_BLOCKS = 8
 # Paths per probe point in the convergence diagnostics.
 PROBE_PATHS = 48
@@ -106,10 +102,15 @@ class FeatureMap:
     Columns: constant, each variable, each variable to powers 2..degree,
     and pairwise products when cross_terms is set.  The delayed state
     contributes variables only when the problem has a positive delay.
+    ``degree`` is an integer of at least 1.
     """
 
     degree: int = 2
     cross_terms: bool = True
+
+    def __post_init__(self):
+        if type(self.degree) is not int or self.degree < 1:
+            raise ValueError(f"degree must be an integer of at least 1, got {self.degree!r}")
 
     def design(self, x: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
         v = x if y is None else np.concatenate([x, y], axis=1)
@@ -129,7 +130,7 @@ class FeatureMap:
 
     def n_features(self, dim: int, use_delay: bool) -> int:
         nv = dim * (2 if use_delay else 1)
-        p = 1 + nv + nv * max(self.degree - 1, 0)
+        p = 1 + nv * self.degree
         if self.cross_terms and self.degree >= 2:
             p += nv * (nv - 1) // 2
         return p
@@ -139,7 +140,6 @@ class FeatureMap:
 class FitInfo:
     rank: int
     n_features: int
-    used_ridge: bool
     lsq: tuple = field(repr=False, compare=False)  # (design, kept columns, target, solution)
 
     @functools.cached_property
@@ -158,7 +158,7 @@ class FitInfo:
 
 
 def _fit(design: np.ndarray, target: np.ndarray):
-    """Least squares with constant-column pruning and a ridge fallback.
+    """Least squares with constant-column pruning.
 
     Feature columns that are exactly constant across the training batch
     (beyond the leading intercept) carry no information and would let the
@@ -168,9 +168,7 @@ def _fit(design: np.ndarray, target: np.ndarray):
     wildly.  Those columns are dropped (their effect lands in the
     intercept) and get zero coefficients.  ``numpy.linalg.lstsq``
     resolves remaining rank deficiency by the minimum-norm solution,
-    which keeps degenerate (e.g. deterministic) fits exact; the ridge
-    path only triggers for the target columns where that still produces
-    non-finite coefficients.
+    which keeps degenerate (e.g. deterministic) fits exact.
 
     The target is 2-D, one column per right-hand side, all fitted in a
     single solve; the coefficients have one column per target column.
@@ -179,15 +177,9 @@ def _fit(design: np.ndarray, target: np.ndarray):
     keep[0] = True
     reduced = design[:, keep]
     sol, _, rank, _ = np.linalg.lstsq(reduced, target, rcond=None)
-    bad = ~np.all(np.isfinite(sol), axis=0)
-    if bad.any():
-        gram = reduced.T @ reduced
-        p = gram.shape[0]
-        lam = RIDGE_SCALE * np.trace(gram) / p
-        sol[:, bad] = np.linalg.solve(gram + lam * np.eye(p), reduced.T @ target[:, bad])
     coef = np.zeros((design.shape[1], target.shape[1]))
     coef[keep] = sol
-    info = FitInfo(int(rank), int(keep.sum()), bool(bad.any()), (design, keep, target, sol))
+    info = FitInfo(int(rank), int(keep.sum()), (design, keep, target, sol))
     return coef, info
 
 
@@ -327,19 +319,20 @@ class _Step(NamedTuple):
 def _backward_pass(problem, grid, fm, ens, groups, n_levels, below, cost, on_step=None) -> _Step:
     """Fit ``n_levels`` consecutive budget levels in one time-major pass.
 
-    ``ens`` is (pre-switch states, post-switch states, absolute fit rows
-    per (group, mode, step), terminal reward at the pre-switch horizon
-    states).  Each of the contiguous row slices ``groups`` is fitted on
-    its own rows only.  From the horizon down, the regression targets of
-    every level at step i are the pre-switch values at step i+1, so each
-    step builds its designs once and makes one multi-column fit per group
-    and mode.  ``below`` is the post-switch table (n_steps, n_modes,
-    n_rows) of the level under the lowest one, None when the range starts
-    at level 0; ``cost`` holds the switch cost matrix per step.  Only one
-    step's tables are alive at a time; ``on_step`` sees each step's
-    record and the step-0 record is returned.
+    ``ens`` is (pre-switch states, post-switch states, the mode driving
+    each path's step, terminal reward at the pre-switch horizon states).
+    Each of the contiguous row slices ``groups`` is fitted on its own
+    rows: mode b's fit at step i on those in mode b across that step.
+    From the horizon down, the regression targets of every level at step
+    i are the pre-switch values at step i+1, so each step builds its
+    designs once and makes one multi-column fit per group and mode.
+    ``below`` is the post-switch table (n_steps, n_modes, n_rows) of the
+    level under the lowest one, None when the range starts at level 0;
+    ``cost`` holds the switch cost matrix per step.  Only one step's
+    tables are alive at a time; ``on_step`` sees each step's record and
+    the step-0 record is returned.
     """
-    pre, post, fit_rows, g_pre = ens
+    pre, post, mode_of_step, g_pre = ens
     pres = problem.dynamics.presegment(grid)
     n = grid.n_steps
     m = problem.modes.n_modes
@@ -354,7 +347,7 @@ def _backward_pass(problem, grid, fm, ens, groups, n_levels, below, cost, on_ste
         n_empty = 0
         for g, rows_g in enumerate(groups):
             for b in problem.modes.labels:
-                rows = fit_rows[(g, b, i)]
+                rows = rows_g.start + np.flatnonzero(mode_of_step[rows_g, i] == b)
                 if not rows.size:
                     rows = rows_g
                     n_empty += 1
@@ -375,12 +368,6 @@ def _backward_pass(problem, grid, fm, ens, groups, n_levels, below, cost, on_ste
     return step
 
 
-def _fit_rows(mode_of_step, labels, groups):
-    """Absolute indices of each group's rows in mode b across step i, keyed (group, b, i)."""
-    return {(g, b, i): rows.start + np.flatnonzero(mode_of_step[rows, i] == b)
-            for g, rows in enumerate(groups) for b in labels for i in range(mode_of_step.shape[1] - 1)}
-
-
 @dataclass
 class SolveDiagnostics:
     """``probe_values`` and ``probe_se`` are (k_levels + 1, n_probes) arrays.
@@ -395,7 +382,6 @@ class SolveDiagnostics:
     final_gap: float = float("nan")
     gap_by_k: list = field(default_factory=list)
     rank_deficient_fits: int = 0
-    ridge_fits: int = 0
     empty_subset_fits: int = 0
     probe_values: Optional[np.ndarray] = None
     probe_se: Optional[np.ndarray] = None
@@ -566,9 +552,10 @@ def solve(
     statistically resolvable probe move against k-1 (the change beyond
     three paired standard errors) fall below 1e-3 * (1 + |root value|);
     otherwise runs to k_max and flags the surface as unconverged (with a
-    warning carrying the last gap).  The standard-error blocks may run in
-    a forked child (see the module docstring), so the problem's callables
-    must not rely on side effects.
+    warning carrying the last gap).  A level whose values at the probe
+    states are not finite, as from a non-finite reward, raises ValueError.
+    The standard-error blocks may run in a forked child (see the module
+    docstring), so the problem's callables must not rely on side effects.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
@@ -602,9 +589,8 @@ def solve(
     if not check.ok:
         raise ValueError(f"jump maps declared target_only are not: {check.detail}")
 
-    whole = [slice(0, n_paths)]
     g_pre = np.asarray(problem.reward.terminal(pre[:, n]), dtype=float)
-    ens_full = (pre, post, _fit_rows(mode_of_step, labels, whole), g_pre)
+    ens = (pre, post, mode_of_step, g_pre)
     cost = np.stack([_switch_costs(problem, t) for t in grid.times[:n]])
 
     diag = SolveDiagnostics(k_max_requested=k_max)
@@ -635,14 +621,15 @@ def solve(
             target_range[i, :, k] = step.target_range[0, :, 0]
             diag.empty_subset_fits += step.n_empty
             diag.rank_deficient_fits += sum(info.rank < info.n_features for info in step.fits)
-            diag.ridge_fits += sum(info.used_ridge for info in step.fits)
             if i in probe_times:
                 j = probe_times.index(i)
                 probe[k, :, j] = step.tab[0, :, :q]
                 for b, info in zip(labels, step.fits):
                     probe_se[k, b - 1, j] = _prediction_se(info, step.A_pre[:q])
 
-        _backward_pass(problem, grid, fm, ens_full, whole, 1, below, cost, record)
+        _backward_pass(problem, grid, fm, ens, [slice(0, n_paths)], 1, below, cost, record)
+        if not np.isfinite(probe[k]).all():
+            raise ValueError(f"level {k} values are not finite: the rewards must be finite")
         return moved_k
 
     # The design-conditional root SE treats the regression targets as
@@ -650,9 +637,8 @@ def solve(
     # sampling error of the whole recursion.  Rerunning the pass on
     # independent path blocks and reading the spread of their roots
     # captures that propagated noise; the design SE stays as a floor.
-    # The blocks are the groups of one time-major pass that fits all
-    # their levels, so they need from the main pass only its stopping
-    # level.
+    # The blocks are the groups of one time-major pass that fits every
+    # level up to k_max, so they need nothing from the main pass.
     n_blocks = min(SE_BLOCKS, n_paths // 2)
     edges = np.linspace(0, n_paths, n_blocks + 1).astype(int)
     blocks = [slice(lo_e, hi_e) for lo_e, hi_e in zip(edges[:-1], edges[1:])]
@@ -660,18 +646,15 @@ def solve(
     fork = n_blocks >= 2 and _may_fork()
     roots = _empty((k_max + 1, m, n_blocks), float, fork)
 
-    def run_blocks(levels: int) -> None:
-        """Writes each block's raw root values into ``roots[:levels]``."""
-        ens_blk = (pre, post, _fit_rows(mode_of_step, labels, blocks), g_pre)
-        first = _backward_pass(problem, grid, fm, ens_blk, blocks, levels, None, cost)
-        roots[:levels] = first.tab[:, :, edges[:-1]]
+    def run_blocks() -> None:
+        """Writes each block's raw root values for levels 0..k_max into ``roots``."""
+        first = _backward_pass(problem, grid, fm, ens, blocks, k_max + 1, None, cost)
+        roots[:] = first.tab[:, :, edges[:-1]]
 
-    # With a spare CPU, a forked child runs the blocks for every level up
-    # to k_max beside the main pass.  Its roots are taken when the main
-    # pass also ends at k_max; otherwise it is killed and the blocks run
-    # here for the levels kept.  Either way the roots come from the same
-    # call on the same inputs.
-    with _Child.beside(fork, run_blocks, k_max + 1) as all_levels:
+    # With a spare CPU, a forked child runs the block pass beside the main
+    # pass and is read once the main pass ends; otherwise the block pass
+    # runs here at that point.  The child is killed if the main pass raises.
+    with _Child.beside(fork, run_blocks) as block_pass:
         # The main pass runs level by level: it is the stopping search, and
         # no level above the stopping one gets fitted.
         moved_prev = main_level(0, None)
@@ -709,16 +692,13 @@ def solve(
         # The columns are views, so this projects ``probe``, roots included.
         for col in diag.probe_values.T:
             col[:] = _isotonic(col)
-        if n_blocks >= 2 and k_final == k_max:
-            all_levels()
-    root_se_k = probe_se[:levels, :, 0, 0]
-    if n_blocks >= 2:
-        if k_final < k_max:
-            run_blocks(levels)
-        for col in roots[:levels].reshape(levels, -1).T:
-            col[:] = _isotonic(col)
-        spread = roots[:levels].std(axis=2, ddof=1) / np.sqrt(n_blocks)
-        root_se_k = np.maximum(root_se_k, spread)
+        root_se_k = probe_se[:levels, :, 0, 0]
+        if n_blocks >= 2:
+            block_pass()
+            for col in roots[:levels].reshape(levels, -1).T:
+                col[:] = _isotonic(col)
+            spread = roots[:levels].std(axis=2, ddof=1) / np.sqrt(n_blocks)
+            root_se_k = np.maximum(root_se_k, spread)
     keys = [(k, b) for k in range(levels) for b in labels]
     root_value = {(k, b): float(probe[k, b - 1, 0, 0]) for k, b in keys}
     root_se = {(k, b): float(root_se_k[k, b - 1]) for k, b in keys}
@@ -831,7 +811,8 @@ def certify(
     Monte Carlo error; ``gap`` is (surface root value) - (certified
     value).  The seed must differ from the training seed.  A state that
     turns non-finite or leaves ``STATE_BOUND`` raises DivergedError with
-    the step index, as the simulator does.
+    the step index, as the simulator does; a non-finite path reward
+    raises ValueError.
 
     Switches at one instant are resolved in rounds, one decision per mode
     per round, so that same-instant chains compose.  A mode whose rows and
@@ -916,6 +897,8 @@ def certify(
             tempted[sel] |= cand > g[sel]
     terminal_switches = int(tempted.sum())
     j = run_acc + g - cost_acc
+    if not np.isfinite(j).all():
+        raise ValueError("certified path rewards are not finite: the rewards must be finite")
     lower = float(j.mean())
     lower_se = float(j.std(ddof=1) / np.sqrt(n_paths))
     y0 = surface.y0

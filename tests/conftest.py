@@ -5,9 +5,11 @@ every test stays an ordinary seeded script; no fixtures carry hidden
 state between files.
 """
 
+import dataclasses
+
 import numpy as np
 
-from switchmc.families import affine_problem
+from switchmc.families import affine_problem, two_mode_flow_problem
 from switchmc.snell import ScenarioTree
 
 
@@ -79,3 +81,19 @@ def jumps_instance(n_steps: int = 6):
         run_lin=(0.3, -0.35),
         cost_table=[[0.0, 0.06], [0.05, 0.0]],
     )
+
+
+NAN_REWARD_CASES = ["running-nan-at-t0", "running-nan", "terminal-nan"]
+
+
+def nan_reward_flow(case: str, n_steps: int = 4):
+    """The two-mode flow instance with one reward made NaN, as named in ``NAN_REWARD_CASES``."""
+    problem, grid = two_mode_flow_problem(n_steps=n_steps)
+    running, terminal = problem.reward.running, problem.reward.terminal
+    if case == "running-nan-at-t0":
+        reward = dict(running=lambda t, x, b: running(t, x, b) + (np.nan if t == 0.0 else 0.0))
+    elif case == "running-nan":
+        reward = dict(running=lambda t, x, b: running(t, x, b) + np.nan)
+    else:
+        reward = dict(terminal=lambda x: terminal(x) + np.nan)
+    return dataclasses.replace(problem, reward=dataclasses.replace(problem.reward, **reward)), grid

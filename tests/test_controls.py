@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import NAN_REWARD_CASES, nan_reward_flow
 from switchmc.controls import (
     JumpMapFamily,
     ModeSet,
@@ -210,6 +211,13 @@ def test_evaluate_reward_two_mode_exact():
         problem, grid, SwitchingControl(times=(0.5,), modes=(2,)), n_paths=32, seed=0
     )
     assert late == pytest.approx(0.2, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", NAN_REWARD_CASES)
+def test_evaluate_reward_refuses_non_finite_rewards(case):
+    problem, grid = nan_reward_flow(case)
+    with pytest.raises(ValueError, match="not finite"):
+        evaluate_reward(problem, grid, SwitchingControl(times=(0.0,), modes=(2,)), n_paths=8, seed=0)
 
 
 def test_evaluate_reward_pure_cost_counts_switches():

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import delay_instance, jumps_instance
+from conftest import NAN_REWARD_CASES, delay_instance, jumps_instance, nan_reward_flow
 from switchmc.controls import JumpMapFamily, SwitchingProblem, validate_target_only
 from switchmc.families import pure_cost_problem, two_mode_flow_problem
 from switchmc.hydro import HydroParams, build_hydro_problem
@@ -29,7 +29,6 @@ from switchmc.solver import (
     surface_to_csv,
     _backward_pass,
     _fit,
-    _fit_rows,
     _level_values,
     _randomized_ensemble,
     _switch_costs,
@@ -82,9 +81,7 @@ def test_fit_two_dimensional_target_matches_column_fits(rows):
         coef_j, info_j = _fit(design, target[:, j:j + 1])
         assert np.allclose(coef[:, j], coef_j[:, 0], rtol=0.0, atol=1e-12)
         assert abs(info.resid_std[j] - info_j.resid_std[0]) <= 1e-12
-        assert (info.rank, info.n_features, info.used_ridge) == (
-            info_j.rank, info_j.n_features, info_j.used_ridge
-        )
+        assert (info.rank, info.n_features) == (info_j.rank, info_j.n_features)
     assert np.all(coef[10] == 0.0)
 
 
@@ -136,24 +133,20 @@ def _grouped_and_per_block_passes(problem, grid, fm, n_paths, seed, quantization
         problem, grid, n_paths, seed, quantization, 0.15
     )
     n = grid.n_steps
-    labels = problem.modes.labels
     g_pre = np.asarray(problem.reward.terminal(pre[:, n]), dtype=float)
     cost = np.stack([_switch_costs(problem, t) for t in grid.times[:n]])
     edges = np.linspace(0, n_paths, SE_BLOCKS + 1).astype(int)
     blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     grouped = []
-    ens = (pre, post, _fit_rows(mode_of_step, labels, blocks), g_pre)
+    ens = (pre, post, mode_of_step, g_pre)
     _backward_pass(problem, grid, fm, ens, blocks, levels, None, cost, grouped.append)
-    # The reference copies each block's rows, maps its fit rows and runs
-    # one pass per block, as solve did before the blocks became groups.
+    # The reference copies each block's rows and runs one pass per block,
+    # as solve did before the blocks became groups.
     per_block = []
     for blk in blocks:
         rows = np.arange(blk.start, blk.stop)
-        fit_rows = {
-            (0, b, i): np.flatnonzero(mode_of_step[rows, i] == b) for b in labels for i in range(n)
-        }
         steps = []
-        ens_blk = (pre[rows], post[rows], fit_rows, g_pre[rows])
+        ens_blk = (pre[rows], post[rows], mode_of_step[rows], g_pre[rows])
         _backward_pass(problem, grid, fm, ens_blk, [slice(0, rows.size)], levels, None, cost,
                        steps.append)
         per_block.append(steps)
@@ -284,8 +277,8 @@ def _pinned_problem(name):
 
 @pytest.mark.parametrize("name", ["hydro", "flow"])
 def test_forked_blocks_give_the_inline_outputs(name, monkeypatch):
-    # Hydro stops unconverged at k_max, so its block roots come from the
-    # child; flow converges early, so its child is killed.
+    # The child's block pass covers every level up to k_max, so its roots
+    # are read whether the main pass stops at k_max (hydro) or below (flow).
     problem, grid, kwargs = _pinned_problem(name)
     outputs = []
     for fork in (True, False):
@@ -293,7 +286,7 @@ def test_forked_blocks_give_the_inline_outputs(name, monkeypatch):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             surf = solve(problem, grid, **kwargs)
-        assert [child.used for child in children] == ([name == "hydro"] if fork else [])
+        assert [child.used for child in children] == ([True] if fork else [])
         _assert_no_child_left()
         buf = io.StringIO()
         surface_to_csv(surf, buf)
@@ -380,9 +373,9 @@ class TwoArgumentError(Exception):
         super().__init__(f"{what} on {n_blocks} blocks")
 
 
-def test_an_exception_that_does_not_unpickle_is_raised_by_the_inline_rerun(monkeypatch):
-    # It pickles in the child, but unpickling calls TwoArgumentError(message)
-    # and fails; the parent then reruns the block pass and raises it itself.
+def test_an_exception_with_other_init_arguments_is_raised_by_the_inline_rerun(monkeypatch):
+    # The child exits nonzero on it; the parent then reruns the block pass
+    # and raises the exception itself, built with its own arguments.
     children = _forcing_fork(monkeypatch, True)
     backward_pass = solver_module._backward_pass
     raised_here = []
@@ -768,6 +761,38 @@ def test_a_nan_switch_cost_is_refused():
     costs = dataclasses.replace(problem.costs, cost=lambda bf, bt, t: float("nan"))
     with pytest.raises(ValueError, match="switch cost"):
         solve(dataclasses.replace(problem, costs=costs), grid, n_paths=100, seed=0)
+
+
+@pytest.mark.parametrize("case", NAN_REWARD_CASES)
+def test_solve_refuses_non_finite_rewards(case, monkeypatch):
+    # Every case is non-finite at level 0's time-0 probes, so the main
+    # pass stops there, and the forked block pass is killed.
+    children = _forcing_fork(monkeypatch, True)
+    problem, grid = nan_reward_flow(case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="level 0 values are not finite"):
+            solve(problem, grid, n_paths=200, seed=0)
+    assert len(children) == 1 and not children[0].used
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("case", NAN_REWARD_CASES)
+def test_certify_refuses_non_finite_rewards(case):
+    problem, grid = two_mode_flow_problem(n_steps=4)
+    surf = solve(problem, grid, n_paths=200, seed=0)
+    nan_problem, _ = nan_reward_flow(case)
+    policy = extract_policy(dataclasses.replace(surf, problem=nan_problem))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="not finite"):
+            certify(policy, n_paths=50, seed=1)
+
+
+@pytest.mark.parametrize("degree", [0, -3, True, 2.0])
+def test_feature_map_refuses_a_degree_that_is_not_an_integer_of_at_least_one(degree):
+    with pytest.raises(ValueError, match="degree"):
+        FeatureMap(degree=degree)
 
 
 def test_surface_csv_and_diagnostics_json():
