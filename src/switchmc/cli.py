@@ -29,6 +29,7 @@ import numpy as np
 from .config import ConfigError, SolverSettings, load_config
 from .controls import (
     SwitchingControl,
+    _simulate_control,
     validate_control,
     validate_cycle_reduction,
     validate_no_free_loop,
@@ -65,16 +66,7 @@ def _ensure_out(directory: str) -> str:
 
 def _probe_states(problem, grid, seed: int) -> np.ndarray:
     """About 256 of the states visited by 16 uncontrolled paths, used as check probes."""
-    dw, counts = sample_noise_batch(problem.dynamics, grid, seed, 16)
-    states, _ = simulate_batch(
-        problem.dynamics,
-        grid,
-        SwitchingControl.empty(),
-        dw,
-        counts,
-        switch_map=problem.switch_map,
-        initial_mode=problem.modes.initial,
-    )
+    states, _ = _simulate_control(problem, grid, SwitchingControl.empty(), 16, seed)
     flat = states.reshape(-1, states.shape[2])
     stride = max(1, flat.shape[0] // 256)
     return flat[::stride]
@@ -270,16 +262,7 @@ def cmd_hydro_demo(args) -> int:
     policy = extract_policy(surface)
     report = certify(policy, n_paths=args.certify_paths, seed=args.seed + 1)
 
-    dw, counts = sample_noise_batch(problem.dynamics, grid, args.seed + 2, 1)
-    states, path_modes = simulate_batch(
-        problem.dynamics,
-        grid,
-        SwitchingControl.empty(),
-        dw,
-        counts,
-        switch_map=problem.switch_map,
-        initial_mode=problem.modes.initial,
-    )
+    states, path_modes = _simulate_control(problem, grid, SwitchingControl.empty(), 1, args.seed + 2)
     sample = Path(grid=grid, states=states[0], presegment=problem.dynamics.presegment(grid), modes=path_modes)
     res1, res2 = mass_balance_residuals(params, sample)
     with open(os.path.join(out, "hydro_sample_path.csv"), "w", encoding="utf-8") as fh:

@@ -28,7 +28,7 @@ raises ConfigError.
 
 from __future__ import annotations
 
-import dataclasses
+import inspect
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -41,19 +41,21 @@ from .solver import FeatureMap
 
 __all__ = ["ConfigError", "SolverSettings", "RunConfig", "load_config", "parse_config"]
 
-FAMILIES = ("affine", "two_mode_deterministic", "pure_cost", "tree_random", "gbm", "hydro")
 
-_AFFINE_KEYS = {
-    "n_modes", "horizon", "n_steps", "x0", "drift_const", "drift_lin", "drift_delay",
-    "vol_const", "vol_lin", "delay_steps", "jump_intensity", "jump_scale", "jump_atoms",
-    "jump_weights", "run_const", "run_lin", "term_const", "term_lin", "cost_table",
-    "loop_floor", "initial_mode",
+def _keys(builder) -> set:
+    return set(inspect.signature(builder).parameters)
+
+
+# The params keys of each family, read from the builder its params go to.
+_PARAMS_KEYS = {
+    "affine": _keys(families.affine_problem),
+    "two_mode_deterministic": _keys(families.two_mode_flow_problem),
+    "pure_cost": _keys(families.pure_cost_problem),
+    # The builder's seed is named instance_seed here, apart from the run's --seed.
+    "tree_random": _keys(families.random_tree_problem) - {"seed"} | {"instance_seed"},
+    "gbm": _keys(families.gbm_spec) | {"horizon", "n_steps"},
+    "hydro": _keys(HydroParams),
 }
-_TWO_MODE_KEYS = {"rate_low", "rate_high", "cost", "horizon", "n_steps"}
-_PURE_COST_KEYS = {"n_modes", "cost", "horizon", "n_steps"}
-_TREE_KEYS = {"instance_seed", "n_modes", "levels", "delay_steps", "mode_drift", "with_jumps"}
-_GBM_KEYS = {"mu", "sigma", "x0", "horizon", "n_steps"}
-_HYDRO_KEYS = {f.name for f in dataclasses.fields(HydroParams)}
 
 
 class ConfigError(Exception):
@@ -127,7 +129,7 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
 
 
 def _coerce_solver(section: dict) -> SolverSettings:
-    _check_keys(section, {f.name for f in dataclasses.fields(SolverSettings)}, "solver")
+    _check_keys(section, _keys(SolverSettings), "solver")
     try:
         s = SolverSettings(**section)
     except TypeError as exc:
@@ -151,18 +153,10 @@ def parse_config(raw: dict) -> RunConfig:
     raw = _require_object(raw, "config")
     _check_keys(raw, {"family", "params", "solver", "control"}, "top-level")
     family = raw.get("family")
-    if family not in FAMILIES:
-        raise ConfigError(f"family must be one of {', '.join(FAMILIES)}; got {family!r}")
+    if family not in _PARAMS_KEYS:
+        raise ConfigError(f"family must be one of {', '.join(_PARAMS_KEYS)}; got {family!r}")
     params = _require_object(raw.get("params", {}), "params")
-    allowed = {
-        "affine": _AFFINE_KEYS,
-        "two_mode_deterministic": _TWO_MODE_KEYS,
-        "pure_cost": _PURE_COST_KEYS,
-        "tree_random": _TREE_KEYS,
-        "gbm": _GBM_KEYS,
-        "hydro": _HYDRO_KEYS,
-    }[family]
-    _check_keys(params, allowed, f"{family} params")
+    _check_keys(params, _PARAMS_KEYS[family], f"{family} params")
     solver = _coerce_solver(_require_object(raw.get("solver", {}), "solver"))
     control = None
     if "control" in raw:

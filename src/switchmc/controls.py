@@ -401,6 +401,14 @@ def reward_terms(
     return total
 
 
+def _simulate_control(problem: SwitchingProblem, grid: TimeGrid, control: SwitchingControl,
+                      n_paths: int, seed: int, quantization: Optional[int] = None):
+    """(states, modes) of ``n_paths`` paths of the problem under ``control``, drawn from ``seed``."""
+    dw, counts = sample_noise_batch(problem.dynamics, grid, seed, n_paths, quantization)
+    return simulate_batch(problem.dynamics, grid, control, dw, counts,
+                          switch_map=problem.switch_map, initial_mode=problem.modes.initial)
+
+
 def evaluate_reward(
     problem: SwitchingProblem,
     grid: TimeGrid,
@@ -421,16 +429,7 @@ def evaluate_reward(
     complaints = validate_control(control, problem.modes, grid)
     if complaints:
         raise ValueError("; ".join(complaints))
-    dw, counts = sample_noise_batch(problem.dynamics, grid, seed, n_paths, quantization)
-    states, modes = simulate_batch(
-        problem.dynamics,
-        grid,
-        control,
-        dw,
-        counts,
-        switch_map=problem.switch_map,
-        initial_mode=problem.modes.initial,
-    )
+    states, modes = _simulate_control(problem, grid, control, n_paths, seed, quantization)
     totals = reward_terms(problem, grid, control, states, modes)
     if not np.isfinite(totals).all():
         raise ValueError("path rewards are not finite: the rewards must be finite")

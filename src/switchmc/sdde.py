@@ -19,12 +19,14 @@ Coefficient callables are evaluated on batches: ``x`` and ``y`` have shape
 for the drift and jump coefficient and ``(n_paths, dim, brownian_dim)`` for
 the diffusion.
 
-The forward step is written once.  ``_lookback`` reads the delayed states
-from a path buffer and ``_euler_step`` advances a batch whose paths may
-run in different modes (one ``euler_increment`` call per mode group) and
-guards against divergence.  ``simulate_batch`` (one mode at a time), the
-solver's exploration ensemble and its certification all step through
-them.
+The forward loop is written once, in ``_simulate``.  It owns the path
+buffer, hands each instant's states, their lookback (read by
+``_lookback``) and the per-path modes to a switch hook, and advances the
+batch with one ``euler_increment`` call per mode group.  Every state a
+path holds at t_i, after any switch there, is checked against divergence
+at index i.  ``simulate_batch`` (a fixed schedule), the solver's
+exploration ensemble (random re-rolls) and its certification (the
+policy's decisions) are hooks on that loop.
 
 Per-path random streams are spawned from the root seed with
 ``numpy.random.SeedSequence``, so path p's noise depends only on the
@@ -419,7 +421,7 @@ def euler_increment(
     return dx
 
 
-def _check_state(spec: SddeSpec, x: np.ndarray, step: int) -> None:
+def _check_state(x: np.ndarray, step: int) -> None:
     if not np.all(np.isfinite(x)) or np.linalg.norm(x, axis=1).max() > STATE_BOUND:
         raise DivergedError(step)
 
@@ -436,32 +438,39 @@ def _lookback(buffer: np.ndarray, presegment: np.ndarray, i: int) -> np.ndarray:
     return np.broadcast_to(presegment[i], buffer[:, i].shape)
 
 
-def _euler_step(
-    spec: SddeSpec,
-    grid: TimeGrid,
-    i: int,
-    x: np.ndarray,
-    y: np.ndarray,
-    mode: np.ndarray,
-    brownian: np.ndarray,
-    jump_counts: np.ndarray,
-) -> np.ndarray:
-    """States at t_{i+1} of a batch whose paths may run in different modes.
+def _simulate(spec: SddeSpec, grid: TimeGrid, mode: np.ndarray, brownian: np.ndarray,
+              jump_counts: np.ndarray, switch: Callable) -> np.ndarray:
+    """Post-switch states (n_paths, n_steps + 1, dim) of a batch, noise as from ``sample_noise_batch``.
 
-    ``mode`` holds each path's mode on [t_i, t_{i+1}); ``brownian`` and
-    ``jump_counts`` are the whole batch's noise, as from
-    :func:`sample_noise_batch`.  Raises DivergedError(i + 1) when a new
-    state is non-finite or beyond ``STATE_BOUND``.
+    At each instant i = 0..n_steps, ``switch(i, x, y, mode)`` gets the
+    view ``x`` of the states at t_i, their lookback ``y`` (None at the
+    horizon) and the per-path ``mode``, and may reset rows of ``x`` and
+    change ``mode`` in place.  The states at t_i are then checked; before
+    the horizon each mode group takes one ``euler_increment`` into t_{i+1},
+    checked too, so ``switch`` never sees a state that failed.  A state
+    that is non-finite or beyond ``STATE_BOUND`` raises DivergedError(i).
     """
-    x_new = np.empty_like(x)
-    for b in np.unique(mode):
-        sel = mode == b
-        counts = jump_counts[sel, i] if spec.jump_intensity > 0.0 else None
-        x_new[sel] = x[sel] + euler_increment(
-            spec, grid.step, grid.times[i], x[sel], y[sel], int(b), brownian[sel, i], counts
-        )
-    _check_state(spec, x_new, i + 1)
-    return x_new
+    n = grid.n_steps
+    times = grid.times
+    pres = spec.presegment(grid)
+    states = np.empty((brownian.shape[0], n + 1, spec.dim))
+    states[:, 0] = spec.initial_state()
+    for i in range(n + 1):
+        x = states[:, i]
+        y = _lookback(states, pres, i) if i < n else None
+        switch(i, x, y, mode)
+        _check_state(x, i)
+        if i == n:
+            break
+        x_new = states[:, i + 1]
+        for b in np.unique(mode):
+            sel = mode == b
+            counts = jump_counts[sel, i] if spec.jump_intensity > 0.0 else None
+            x_new[sel] = x[sel] + euler_increment(
+                spec, grid.step, times[i], x[sel], y[sel], int(b), brownian[sel, i], counts
+            )
+        _check_state(x_new, i + 1)
+    return states
 
 
 def _switch_schedule(grid: TimeGrid, control) -> list:
@@ -504,38 +513,19 @@ def simulate_batch(
     modes : ndarray, shape (n_steps + 1,)
         Mode on [t_i, t_{i+1}); last entry is the mode at the horizon.
     """
-    n = grid.n_steps
-    n_paths = brownian.shape[0]
-    pres = spec.presegment(grid)
     schedule = _switch_schedule(grid, control)
+    modes = np.empty(grid.n_steps + 1, dtype=np.int64)
 
-    states = np.empty((n_paths, n + 1, spec.dim))
-    modes = np.empty(n + 1, dtype=np.int64)
-    x = np.broadcast_to(spec.initial_state(), (n_paths, spec.dim)).copy()
-    mode = int(initial_mode)
-    pos = 0
+    def switch(i, x, y, mode):
+        for j, target in schedule:
+            if j == i:
+                if switch_map is not None:
+                    x[:] = switch_map(int(mode[0]), target, grid.times[i], x)
+                mode[:] = target
+        modes[i] = mode[0]
 
-    for i in range(n + 1):
-        # The Euler step checks the states it makes; the initial state and
-        # post-switch states are checked here, at their own step index.
-        unchecked = i == 0
-        while pos < len(schedule) and schedule[pos][0] == i:
-            target = schedule[pos][1]
-            if switch_map is not None:
-                x = np.ascontiguousarray(_as_batch(switch_map(mode, target, grid.times[i], x), x.shape))
-            mode = target
-            pos += 1
-            unchecked = True
-        if unchecked:
-            _check_state(spec, x, i)
-        states[:, i] = x
-        modes[i] = mode
-        if i < n:
-            x = _euler_step(
-                spec, grid, i, x, _lookback(states, pres, i), np.full(n_paths, mode), brownian,
-                jump_counts,
-            )
-    return states, modes
+    mode = np.full(brownian.shape[0], int(initial_mode), dtype=np.int64)
+    return _simulate(spec, grid, mode, brownian, jump_counts, switch), modes
 
 
 def simulate_path(

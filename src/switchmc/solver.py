@@ -72,7 +72,7 @@ import numpy as np
 
 from ._fork import _Child, _empty, _may_fork
 from .controls import SwitchingProblem, reject_history_reward, validate_target_only
-from .sdde import TimeGrid, _euler_step, _lookback, _noise_batch, sample_noise_batch
+from .sdde import TimeGrid, _lookback, _noise_batch, _simulate, sample_noise_batch
 
 __all__ = [
     "FeatureMap",
@@ -376,17 +376,17 @@ class SolveDiagnostics:
     and path: values projected nondecreasing in k, and raw design SEs.
     """
 
-    k_levels: int = 0
-    k_max_requested: int = 0
-    converged: bool = False
-    final_gap: float = float("nan")
-    gap_by_k: list = field(default_factory=list)
-    rank_deficient_fits: int = 0
-    empty_subset_fits: int = 0
-    probe_values: Optional[np.ndarray] = None
-    probe_se: Optional[np.ndarray] = None
-    root_values: dict = field(default_factory=dict)
-    root_se: dict = field(default_factory=dict)
+    k_levels: int
+    k_max_requested: int
+    converged: bool
+    final_gap: float
+    gap_by_k: list
+    rank_deficient_fits: int
+    empty_subset_fits: int
+    probe_values: np.ndarray
+    probe_se: np.ndarray
+    root_values: dict
+    root_se: dict
 
 
 @dataclass
@@ -501,7 +501,6 @@ def _randomized_ensemble(
     modes = problem.modes
     m = modes.n_modes
     n = grid.n_steps
-    pres = spec.presegment(grid)
 
     def mode_draws(p, rng):
         return (rng.random(), rng.integers(0, m), rng.random(n),
@@ -511,30 +510,26 @@ def _randomized_ensemble(
         spec, grid, seed, n_paths, quantization, then=mode_draws
     )
 
-    x = np.broadcast_to(spec.initial_state(), (n_paths, spec.dim)).copy()
-    mode = np.full(n_paths, modes.initial, dtype=np.int64)
     pre = np.empty((n_paths, n + 1, spec.dim))
-    post = np.empty_like(pre)
     mode_of_step = np.empty((n_paths, n + 1), dtype=np.int64)
 
-    for i in range(n):
+    def explore(i, x, y, mode):
         pre[:, i] = x
-        if i == 0:
-            target = pick_start + 1
-            explore = (u_start >= 0.5) & (target != mode)
-        else:
-            # The pick-th label other than the path's mode.
-            target = pick_switch[:, i] + 1
-            target += target >= mode
-            explore = u_switch[:, i] < explore_prob
-        rows = np.flatnonzero(explore)
-        _apply_switches(problem, grid.times[i], x, mode, rows, target[rows])
-        post[:, i] = x
+        if i < n:
+            if i == 0:
+                target = pick_start + 1
+                rolled = (u_start >= 0.5) & (target != mode)
+            else:
+                # The pick-th label other than the path's mode.
+                target = pick_switch[:, i] + 1
+                target += target >= mode
+                rolled = u_switch[:, i] < explore_prob
+            rows = np.flatnonzero(rolled)
+            _apply_switches(problem, grid.times[i], x, mode, rows, target[rows])
         mode_of_step[:, i] = mode
-        x = _euler_step(spec, grid, i, x, _lookback(post, pres, i), mode, dw, counts)
-    pre[:, n] = post[:, n] = x
-    mode_of_step[:, n] = mode
-    return pre, post, mode_of_step, pres.shape[0]
+
+    post = _simulate(spec, grid, np.full(n_paths, modes.initial, dtype=np.int64), dw, counts, explore)
+    return pre, post, mode_of_step, spec.delay_steps(grid)
 
 
 def solve(
@@ -593,7 +588,8 @@ def solve(
     ens = (pre, post, mode_of_step, g_pre)
     cost = np.stack([_switch_costs(problem, t) for t in grid.times[:n]])
 
-    diag = SolveDiagnostics(k_max_requested=k_max)
+    n_empty = n_rank_deficient = 0
+    gap_by_k = []
     coef = np.zeros((n, m, k_max + 1, p))
     target_range = np.zeros((n, m, k_max + 1, 2))
     # Per (k, mode, probe time, path); time 0 is a probe time and every
@@ -615,12 +611,13 @@ def solve(
         moved_k = np.empty((n, m, n_paths))
 
         def record(step: _Step):
+            nonlocal n_empty, n_rank_deficient
             i = step.i
             moved_k[i] = step.moved[0]
             coef[i, :, k] = step.coef[0, :, 0]
             target_range[i, :, k] = step.target_range[0, :, 0]
-            diag.empty_subset_fits += step.n_empty
-            diag.rank_deficient_fits += sum(info.rank < info.n_features for info in step.fits)
+            n_empty += step.n_empty
+            n_rank_deficient += sum(info.rank < info.n_features for info in step.fits)
             if i in probe_times:
                 j = probe_times.index(i)
                 probe[k, :, j] = step.tab[0, :, :q]
@@ -659,6 +656,7 @@ def solve(
         # no level above the stopping one gets fitted.
         moved_prev = main_level(0, None)
         k_final = 0
+        converged = False
         for k in range(1, k_max + 1):
             moved_prev = main_level(k, moved_prev)
             step_up = probe[k] - probe[k - 1]
@@ -670,7 +668,7 @@ def solve(
             pair_se = np.hypot(probe_se[k], probe_se[k - 1])
             probe_gap_net = float(np.max(np.maximum(probe_diff - 3.0 * pair_se, 0.0)))
             gap = max(root_gap, probe_gap_net)
-            diag.gap_by_k.append(
+            gap_by_k.append(
                 {
                     "k": k,
                     "gap": gap,
@@ -682,15 +680,12 @@ def solve(
             )
             k_final = k
             if gap < GAP_TOL_SCALE * (1.0 + abs(probe[k, modes.initial - 1, 0, 0])):
-                diag.converged = True
+                converged = True
                 break
         levels = k_final + 1
-        diag.k_levels = k_final
-        diag.final_gap = diag.gap_by_k[-1]["gap"] if diag.gap_by_k else 0.0
-        diag.probe_values = probe[:levels].reshape(levels, -1)
-        diag.probe_se = probe_se[:levels].reshape(levels, -1)
+        probe_values = probe[:levels].reshape(levels, -1)
         # The columns are views, so this projects ``probe``, roots included.
-        for col in diag.probe_values.T:
+        for col in probe_values.T:
             col[:] = _isotonic(col)
         root_se_k = probe_se[:levels, :, 0, 0]
         if n_blocks >= 2:
@@ -702,17 +697,16 @@ def solve(
     keys = [(k, b) for k in range(levels) for b in labels]
     root_value = {(k, b): float(probe[k, b - 1, 0, 0]) for k, b in keys}
     root_se = {(k, b): float(root_se_k[k, b - 1]) for k, b in keys}
-    diag.root_values = {f"{k},{b}": root_value[k, b] for k, b in keys}
-    diag.root_se = {f"{k},{b}": root_se[k, b] for k, b in keys}
-    if diag.empty_subset_fits:
+    final_gap = gap_by_k[-1]["gap"] if gap_by_k else 0.0
+    if n_empty:
         warnings.warn(
-            f"{diag.empty_subset_fits} regressions had no training path in their mode "
+            f"{n_empty} regressions had no training path in their mode "
             "and were fitted on every path instead",
             RuntimeWarning,
         )
-    if not diag.converged and k_max >= 1:
+    if not converged and k_max >= 1:
         warnings.warn(
-            f"value family not settled at k_max={k_max}: last gap {diag.final_gap:.3e}",
+            f"value family not settled at k_max={k_max}: last gap {final_gap:.3e}",
             RuntimeWarning,
         )
     return ValueSurface(
@@ -727,7 +721,13 @@ def solve(
         switch_cost=cost,
         root_value=root_value,
         root_se=root_se,
-        diagnostics=diag,
+        diagnostics=SolveDiagnostics(
+            k_levels=k_final, k_max_requested=k_max, converged=converged, final_gap=final_gap,
+            gap_by_k=gap_by_k, rank_deficient_fits=n_rank_deficient, empty_subset_fits=n_empty,
+            probe_values=probe_values, probe_se=probe_se[:levels].reshape(levels, -1),
+            root_values={f"{k},{b}": root_value[k, b] for k, b in keys},
+            root_se={f"{k},{b}": root_se[k, b] for k, b in keys},
+        ),
     )
 
 
@@ -809,10 +809,11 @@ def certify(
     The certified value is an expected-reward estimate of the adapted
     control the policy induces, so it lower-bounds the true value up to
     Monte Carlo error; ``gap`` is (surface root value) - (certified
-    value).  The seed must differ from the training seed.  A state that
-    turns non-finite or leaves ``STATE_BOUND`` raises DivergedError with
-    the step index, as the simulator does; a non-finite path reward
-    raises ValueError.
+    value).  The seed must differ from the training seed.  The paths run
+    through the simulator's forward loop, so a state that turns
+    non-finite or leaves ``STATE_BOUND`` raises DivergedError with its
+    step index, and a post-switch state is checked at the step of its
+    switch; a non-finite path reward raises ValueError.
 
     Switches at one instant are resolved in rounds, one decision per mode
     per round, so that same-instant chains compose.  A mode whose rows and
@@ -835,23 +836,20 @@ def certify(
     spec = problem.dynamics
     modes = problem.modes
     n = grid.n_steps
-    pres = spec.presegment(grid)
 
     dw, counts = sample_noise_batch(spec, grid, seed, n_paths, quantization)
     mode = np.full(n_paths, modes.initial, dtype=np.int64)
-    buffer = np.empty((n_paths, n + 1, spec.dim))
-    buffer[:, 0] = spec.initial_state()
     run_acc = np.zeros(n_paths)
     cost_acc = np.zeros(n_paths)
     switch_count = np.zeros(n_paths, dtype=np.int64)
 
-    for i in range(n):
+    def decide(i, x, y, mode):
+        # Switch resets write through the view ``x``.  Without a delay the
+        # lookback ``y`` is the same view, so decisions and the step both
+        # see the current states; otherwise it is fixed for the instant.
+        if i == n:
+            return
         t = grid.times[i]
-        # Switch resets write through this view into the buffer.  Without
-        # a delay the lookback is the same view, so decisions and the step
-        # both see the current states; otherwise it is fixed for the instant.
-        x = buffer[:, i]
-        y = _lookback(buffer, pres, i)
         # Per mode, the rows, states and targets of its last decision at
         # this instant; rows and states decide the call.
         last = {}
@@ -881,12 +879,13 @@ def certify(
             run_acc[sel] += grid.step * np.asarray(
                 problem.reward.running(t, x[sel], int(b)), dtype=float
             )
-        buffer[:, i + 1] = _euler_step(spec, grid, i, x, y, mode, dw, counts)
+
+    states = _simulate(spec, grid, mode, dw, counts, decide)
 
     # No switch is applied at the horizon; count the paths where one would
     # have looked profitable (it should be none when the terminal reward
     # strictly dominates every switch-then-stop).
-    t, x = grid.times[n], buffer[:, n]
+    t, x = grid.times[n], states[:, n]
     g = np.asarray(problem.reward.terminal(x), dtype=float)
     tempted = np.zeros(n_paths, dtype=bool)
     for b in np.unique(mode):

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from conftest import NAN_REWARD_CASES, delay_instance, jumps_instance, nan_reward_flow
-from switchmc.controls import JumpMapFamily, SwitchingProblem, validate_target_only
+from switchmc.controls import JumpMapFamily, SwitchingControl, SwitchingProblem, validate_target_only
 from switchmc.families import pure_cost_problem, two_mode_flow_problem
 from switchmc.hydro import HydroParams, build_hydro_problem
 from switchmc.oracle import build_lattice, exact_dp
 from switchmc import solver as solver_module
-from switchmc.sdde import DivergedError, _lookback
+from switchmc.sdde import DivergedError, _lookback, sample_noise_batch, simulate_batch
 from switchmc.solver import (
     SE_BLOCKS,
     FeatureMap,
@@ -551,6 +551,26 @@ def test_certify_raises_when_the_state_diverges():
     with pytest.raises(DivergedError) as err:
         certify(extract_policy(surf), n_paths=50, seed=10)
     assert err.value.step == 1
+
+
+@pytest.mark.parametrize("caller, switch_step", [("simulate_batch", 2), ("solve", 0)])
+def test_a_bad_reset_is_caught_at_the_switch_instant(caller, switch_step):
+    # A target-only reset into mode 2 that returns NaN.  The scheduled
+    # switch is at t = 0.5 (index 2); the training ensemble re-rolls about
+    # half its paths into mode 2 at time zero.
+    problem, grid = two_mode_flow_problem(n_steps=4)
+    bad = JumpMapFamily(
+        apply=lambda bf, bt, t, x: np.full_like(x, np.nan) if bt == 2 else x, target_only=True
+    )
+    problem = dataclasses.replace(problem, jump_maps=bad)
+    with pytest.raises(DivergedError) as err:
+        if caller == "simulate_batch":
+            dw, counts = sample_noise_batch(problem.dynamics, grid, 0, 8)
+            simulate_batch(problem.dynamics, grid, SwitchingControl((0.5,), (2,)), dw, counts,
+                           switch_map=problem.switch_map)
+        else:
+            solve(problem, grid, n_paths=50, seed=0)
+    assert err.value.step == switch_step
 
 
 def test_empty_mode_subset_warns_with_its_count():
