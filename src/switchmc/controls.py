@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .sdde import OffGridError, SddeSpec, TimeGrid, sample_noise_batch, simulate_batch
+from .sdde import OffGridError, SddeSpec, TimeGrid, _mean_se, sample_noise_batch, simulate_batch
 
 # Random chains drawn per chain length by validate_cycle_reduction.
 REDUCTION_CHAINS = 25
@@ -260,6 +260,12 @@ def validate_no_free_loop(
     return ValidationReport(ok=ok, detail=detail, witness=(cycle, assignment), margin=total)
 
 
+def _switch_then_stop(reward, costs, jump_maps, mode_set: ModeSet, b: int, t: float, x) -> np.ndarray:
+    """Terminal reward at ``x`` after a switch from b into each other mode at t, minus its cost."""
+    return np.array([np.asarray(reward.terminal(jump_maps.reset(b, b2, t, x)), dtype=float)
+                     - costs(b, b2, t) for b2 in mode_set.others(b)])
+
+
 def validate_terminal_no_switch(
     reward: RewardSpec,
     costs: SwitchingCostModel,
@@ -273,9 +279,8 @@ def validate_terminal_no_switch(
     g_here = np.asarray(reward.terminal(probes), dtype=float)
     worst = None
     for b in mode_set.labels:
-        for b2 in mode_set.others(b):
-            moved = jump_maps.reset(b, b2, horizon, probes)
-            margin = g_here - (np.asarray(reward.terminal(moved), dtype=float) - costs(b, b2, horizon))
+        candidates = _switch_then_stop(reward, costs, jump_maps, mode_set, b, horizon, probes)
+        for b2, margin in zip(mode_set.others(b), g_here - candidates):
             i = int(np.argmin(margin))
             if worst is None or margin[i] < worst[0]:
                 worst = (float(margin[i]), (b, b2, probes[i].copy()))
@@ -378,27 +383,19 @@ def validate_target_only(
     )
 
 
-def reward_terms(
-    problem: SwitchingProblem,
-    grid: TimeGrid,
-    control: SwitchingControl,
-    states: np.ndarray,
-    modes: np.ndarray,
-) -> np.ndarray:
-    """Per-path total reward of a batch simulated under one control."""
-    dt = grid.step
+def _path_totals(problem: SwitchingProblem, grid: TimeGrid, states, modes, costs) -> np.ndarray:
+    """Each path's running rewards at left endpoints, plus its terminal reward, minus ``costs``."""
     n = grid.n_steps
     times = grid.times
     total = np.zeros(states.shape[0])
     for i in range(n):
-        total += dt * np.asarray(
-            problem.reward.running(times[i], states[:, i], int(modes[i])), dtype=float
-        )
+        for b in np.unique(modes[:, i]):
+            sel = modes[:, i] == b
+            total[sel] += grid.step * np.asarray(
+                problem.reward.running(times[i], states[sel, i], int(b)), dtype=float
+            )
     total += np.asarray(problem.reward.terminal(states[:, n]), dtype=float)
-    total -= problem.control_cost(control)
-    if problem.history_reward is not None:
-        total += np.asarray(problem.history_reward(control.times, control.modes, states), dtype=float)
-    return total
+    return total - costs
 
 
 def _simulate_control(problem: SwitchingProblem, grid: TimeGrid, control: SwitchingControl,
@@ -419,10 +416,10 @@ def evaluate_reward(
 ):
     """Monte Carlo estimate of a control's total reward and its standard error.
 
-    Running rewards are accumulated at left endpoints, the terminal reward
-    is taken at the (post-switch) horizon state and switch costs are
-    deducted exactly.  Inadmissible controls and non-finite path rewards
-    raise ValueError.
+    Running rewards at left endpoints, the terminal reward at the
+    post-switch horizon state and any history reward, less the exact
+    switch costs, are summed per path by ``_path_totals``, as in
+    ``certify``.  Inadmissible controls and non-finite totals raise ValueError.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
@@ -430,7 +427,10 @@ def evaluate_reward(
     if complaints:
         raise ValueError("; ".join(complaints))
     states, modes = _simulate_control(problem, grid, control, n_paths, seed, quantization)
-    totals = reward_terms(problem, grid, control, states, modes)
+    totals = _path_totals(problem, grid, states, np.broadcast_to(modes, states.shape[:2]),
+                          problem.control_cost(control))
+    if problem.history_reward is not None:
+        totals += np.asarray(problem.history_reward(control.times, control.modes, states), dtype=float)
     if not np.isfinite(totals).all():
         raise ValueError("path rewards are not finite: the rewards must be finite")
-    return float(totals.mean()), float(totals.std(ddof=1) / np.sqrt(n_paths))
+    return _mean_se(totals)

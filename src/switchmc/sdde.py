@@ -20,7 +20,7 @@ for the drift and jump coefficient and ``(n_paths, dim, brownian_dim)`` for
 the diffusion.
 
 The forward loop is written once, in ``_simulate``.  It owns the path
-buffer, hands each instant's states, their lookback (read by
+and mode buffers, hands each instant's states, their lookback (read by
 ``_lookback``) and the per-path modes to a switch hook, and advances the
 batch with one ``euler_increment`` call per mode group.  Every state a
 path holds at t_i, after any switch there, is checked against divergence
@@ -262,8 +262,7 @@ class Path:
 
     def lookback(self, i: int) -> np.ndarray:
         """State at t_i - delay (initial segment for early times)."""
-        j = i - self.delay_steps
-        return self.states[j] if j >= 0 else self.presegment[i]
+        return _lookback(self.states[None], self.presegment, i)[0]
 
 
 def _quantized_law(spec: SddeSpec, grid: TimeGrid, branching: int):
@@ -439,26 +438,29 @@ def _lookback(buffer: np.ndarray, presegment: np.ndarray, i: int) -> np.ndarray:
 
 
 def _simulate(spec: SddeSpec, grid: TimeGrid, mode: np.ndarray, brownian: np.ndarray,
-              jump_counts: np.ndarray, switch: Callable) -> np.ndarray:
-    """Post-switch states (n_paths, n_steps + 1, dim) of a batch, noise as from ``sample_noise_batch``.
+              jump_counts: np.ndarray, switch: Callable) -> tuple:
+    """Post-switch states (n_paths, n_steps + 1, dim) and modes (n_paths, n_steps + 1).
 
     At each instant i = 0..n_steps, ``switch(i, x, y, mode)`` gets the
     view ``x`` of the states at t_i, their lookback ``y`` (None at the
     horizon) and the per-path ``mode``, and may reset rows of ``x`` and
-    change ``mode`` in place.  The states at t_i are then checked; before
-    the horizon each mode group takes one ``euler_increment`` into t_{i+1},
-    checked too, so ``switch`` never sees a state that failed.  A state
-    that is non-finite or beyond ``STATE_BOUND`` raises DivergedError(i).
+    change ``mode`` in place; ``modes[:, i]`` records the mode it leaves.
+    The states at t_i are then checked; before the horizon each mode group
+    takes one ``euler_increment`` into t_{i+1}, checked too, so ``switch``
+    never sees a state that failed.  A state that is non-finite or beyond
+    ``STATE_BOUND`` raises DivergedError(i).
     """
     n = grid.n_steps
     times = grid.times
     pres = spec.presegment(grid)
     states = np.empty((brownian.shape[0], n + 1, spec.dim))
+    modes = np.empty((brownian.shape[0], n + 1), dtype=np.int64)
     states[:, 0] = spec.initial_state()
     for i in range(n + 1):
         x = states[:, i]
         y = _lookback(states, pres, i) if i < n else None
         switch(i, x, y, mode)
+        modes[:, i] = mode
         _check_state(x, i)
         if i == n:
             break
@@ -470,18 +472,21 @@ def _simulate(spec: SddeSpec, grid: TimeGrid, mode: np.ndarray, brownian: np.nda
                 spec, grid.step, times[i], x[sel], y[sel], int(b), brownian[sel, i], counts
             )
         _check_state(x_new, i + 1)
-    return states
+    return states, modes
 
 
 def _switch_schedule(grid: TimeGrid, control) -> list:
-    """Control as a list of (grid index, target mode), validated on-grid."""
+    """Control as a list of (grid index, target mode), validated on-grid and in time order."""
     if control is None:
         return []
     times = getattr(control, "times", None)
     modes = getattr(control, "modes", None)
     if times is None or modes is None:
         raise TypeError("control must expose .times and .modes")
-    return [(grid.index_of(t), int(b)) for t, b in zip(times, modes)]
+    steps = [grid.index_of(t) for t in times]
+    if steps != sorted(steps):
+        raise ValueError("switch times must not decrease")
+    return [(j, int(b)) for j, b in zip(steps, modes)]
 
 
 def simulate_batch(
@@ -514,7 +519,6 @@ def simulate_batch(
         Mode on [t_i, t_{i+1}); last entry is the mode at the horizon.
     """
     schedule = _switch_schedule(grid, control)
-    modes = np.empty(grid.n_steps + 1, dtype=np.int64)
 
     def switch(i, x, y, mode):
         for j, target in schedule:
@@ -522,10 +526,10 @@ def simulate_batch(
                 if switch_map is not None:
                     x[:] = switch_map(int(mode[0]), target, grid.times[i], x)
                 mode[:] = target
-        modes[i] = mode[0]
 
     mode = np.full(brownian.shape[0], int(initial_mode), dtype=np.int64)
-    return _simulate(spec, grid, mode, brownian, jump_counts, switch), modes
+    states, modes = _simulate(spec, grid, mode, brownian, jump_counts, switch)
+    return states, modes[0]
 
 
 def simulate_path(
@@ -539,9 +543,9 @@ def simulate_path(
     """Simulate a single path from an explicit noise draw.
 
     Pure function of its arguments: the same spec, grid, control and draw
-    give the identical path.  Switch times must sit on the grid
-    (OffGridError otherwise); a non-finite or out-of-bound state raises
-    DivergedError carrying the step index.
+    give the identical path.  Switch times must sit on the grid, in
+    order (OffGridError, ValueError otherwise); a non-finite or
+    out-of-bound state raises DivergedError carrying the step index.
     """
     states, modes = simulate_batch(
         spec,
@@ -572,8 +576,12 @@ def estimate_moment(
     dw, counts = sample_noise_batch(spec, grid, seed, n_paths, quantization)
     states, _ = simulate_batch(spec, grid, control, dw, counts, switch_map, initial_mode)
     sup = np.linalg.norm(states, axis=2).max(axis=1)
-    vals = sup**p
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_paths))
+    return _mean_se(sup**p)
+
+
+def _mean_se(values: np.ndarray) -> tuple:
+    """Sample mean of per-path values and its standard error."""
+    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.shape[0]))
 
 
 def path_to_csv(path: Path, fileobj: io.TextIOBase) -> None:

@@ -71,8 +71,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._fork import _Child, _empty, _may_fork
-from .controls import SwitchingProblem, reject_history_reward, validate_target_only
-from .sdde import TimeGrid, _lookback, _noise_batch, _simulate, sample_noise_batch
+from .controls import (SwitchingProblem, _path_totals, _switch_then_stop, reject_history_reward,
+                       validate_target_only)
+from .sdde import TimeGrid, _lookback, _mean_se, _noise_batch, _simulate, sample_noise_batch
 
 __all__ = [
     "FeatureMap",
@@ -511,7 +512,6 @@ def _randomized_ensemble(
     )
 
     pre = np.empty((n_paths, n + 1, spec.dim))
-    mode_of_step = np.empty((n_paths, n + 1), dtype=np.int64)
 
     def explore(i, x, y, mode):
         pre[:, i] = x
@@ -526,9 +526,9 @@ def _randomized_ensemble(
                 rolled = u_switch[:, i] < explore_prob
             rows = np.flatnonzero(rolled)
             _apply_switches(problem, grid.times[i], x, mode, rows, target[rows])
-        mode_of_step[:, i] = mode
 
-    post = _simulate(spec, grid, np.full(n_paths, modes.initial, dtype=np.int64), dw, counts, explore)
+    post, mode_of_step = _simulate(spec, grid, np.full(n_paths, modes.initial, dtype=np.int64),
+                                   dw, counts, explore)
     return pre, post, mode_of_step, spec.delay_steps(grid)
 
 
@@ -813,7 +813,8 @@ def certify(
     through the simulator's forward loop, so a state that turns
     non-finite or leaves ``STATE_BOUND`` raises DivergedError with its
     step index, and a post-switch state is checked at the step of its
-    switch; a non-finite path reward raises ValueError.
+    switch.  Path rewards are summed from the recorded states and modes
+    as in ``evaluate_reward``; a non-finite one raises ValueError.
 
     Switches at one instant are resolved in rounds, one decision per mode
     per round, so that same-instant chains compose.  A mode whose rows and
@@ -839,7 +840,6 @@ def certify(
 
     dw, counts = sample_noise_batch(spec, grid, seed, n_paths, quantization)
     mode = np.full(n_paths, modes.initial, dtype=np.int64)
-    run_acc = np.zeros(n_paths)
     cost_acc = np.zeros(n_paths)
     switch_count = np.zeros(n_paths, dtype=np.int64)
 
@@ -874,32 +874,23 @@ def certify(
                 _apply_switches(problem, t, x, mode, rows, targets[hit])
             if not switched_any:
                 break
-        for b in np.unique(mode):
-            sel = mode == b
-            run_acc[sel] += grid.step * np.asarray(
-                problem.reward.running(t, x[sel], int(b)), dtype=float
-            )
 
-    states = _simulate(spec, grid, mode, dw, counts, decide)
+    states, path_modes = _simulate(spec, grid, mode, dw, counts, decide)
 
     # No switch is applied at the horizon; count the paths where one would
     # have looked profitable (it should be none when the terminal reward
     # strictly dominates every switch-then-stop).
     t, x = grid.times[n], states[:, n]
     g = np.asarray(problem.reward.terminal(x), dtype=float)
-    tempted = np.zeros(n_paths, dtype=bool)
+    terminal_switches = 0
     for b in np.unique(mode):
-        sel = np.flatnonzero(mode == b)
-        for b2 in modes.others(int(b)):
-            xb = problem.jump_maps.reset(int(b), b2, t, x[sel])
-            cand = np.asarray(problem.reward.terminal(xb), dtype=float) - problem.costs(int(b), b2, t)
-            tempted[sel] |= cand > g[sel]
-    terminal_switches = int(tempted.sum())
-    j = run_acc + g - cost_acc
+        sel = mode == b
+        cand = _switch_then_stop(problem.reward, problem.costs, problem.jump_maps, modes, int(b), t, x[sel])
+        terminal_switches += int((cand > g[sel]).any(axis=0).sum())
+    j = _path_totals(problem, grid, states, path_modes, cost_acc)
     if not np.isfinite(j).all():
         raise ValueError("certified path rewards are not finite: the rewards must be finite")
-    lower = float(j.mean())
-    lower_se = float(j.std(ddof=1) / np.sqrt(n_paths))
+    lower, lower_se = _mean_se(j)
     y0 = surface.y0
     y0_se = surface.y0_se
     uniq, cnt = np.unique(switch_count, return_counts=True)

@@ -15,6 +15,7 @@ from conftest import delay_instance, jumps_instance, random_scenario_tree
 from switchmc.cli import main as cli_main
 from switchmc.controls import SwitchingControl
 from switchmc.families import (
+    gbm_spec,
     pure_cost_problem,
     random_tree_problem,
     two_mode_flow_problem,
@@ -252,21 +253,21 @@ def test_criterion_07_switch_count_bound(packaged):
 
 
 def gbm_strong_errors(n_paths: int = 1000, levels=(32, 64, 128, 256)):
-    """Terminal strong error of the Euler scheme under shared Brownian noise."""
+    """Terminal strong error of the package's Euler scheme under shared Brownian noise."""
     mu, sigma, x0, horizon = 0.1, 0.2, 1.0, 1.0
     rng = np.random.default_rng(77)
     n_fine = levels[-1]
     fine = rng.standard_normal((n_paths, n_fine)) * np.sqrt(horizon / n_fine)
     w_total = fine.sum(axis=1)
     exact = x0 * np.exp((mu - 0.5 * sigma**2) * horizon + sigma * w_total)
+    spec = gbm_spec(mu, sigma, x0)
     errs = []
     for n in levels:
         ratio = n_fine // n
         dw = fine.reshape(n_paths, n, ratio).sum(axis=2)
-        x = np.full(n_paths, x0)
-        for i in range(n):
-            x = x + mu * x * (horizon / n) + sigma * x * dw[:, i]
-        errs.append(float(np.mean(np.abs(x - exact))))
+        no_jumps = np.zeros((n_paths, n, 0), dtype=np.int64)
+        states, _ = simulate_batch(spec, TimeGrid(horizon, n), None, dw[:, :, None], no_jumps)
+        errs.append(float(np.mean(np.abs(states[:, n, 0] - exact))))
     return np.array([horizon / n for n in levels]), np.array(errs)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from switchmc import sdde as sdde_module
 from switchmc.controls import SwitchingControl
-from switchmc.families import gbm_spec
+from switchmc.families import gbm_spec, two_mode_flow_problem
 from switchmc.sdde import (
     DivergedError,
     MarkDistribution,
@@ -419,6 +419,22 @@ def test_composed_switches_at_one_instant():
     path = simulate_path(spec, grid, control, sample_noise(spec, grid, seed=0), switch_map=switch_map)
     assert path.states[1, 0] == 1.0 + 10.0 + 100.0
     assert path.modes[1] == 3
+
+
+@pytest.mark.parametrize("entry", ["simulate_batch", "simulate_path", "estimate_moment"])
+def test_decreasing_switch_times_rejected(entry):
+    # validate_control refuses this control; the simulator must not run it.
+    problem, grid = two_mode_flow_problem(n_steps=4)
+    spec = problem.dynamics
+    control = SwitchingControl((0.5, 0.25), (2, 1))
+    dw, counts = sample_noise_batch(spec, grid, 0, 2)
+    calls = {
+        "simulate_batch": lambda: simulate_batch(spec, grid, control, dw, counts),
+        "simulate_path": lambda: simulate_path(spec, grid, control, sample_noise(spec, grid, seed=0)),
+        "estimate_moment": lambda: estimate_moment(spec, grid, control, 2.0, 4, seed=0),
+    }
+    with pytest.raises(ValueError, match="switch times must not decrease"):
+        calls[entry]()
 
 
 def test_off_grid_switch_rejected():
