@@ -383,8 +383,12 @@ def validate_target_only(
     )
 
 
-def _path_totals(problem: SwitchingProblem, grid: TimeGrid, states, modes, costs) -> np.ndarray:
-    """Each path's running rewards at left endpoints, plus its terminal reward, minus ``costs``."""
+def _path_totals(problem: SwitchingProblem, grid: TimeGrid, states, modes, costs,
+                 terminal=None) -> np.ndarray:
+    """Each path's running rewards at left endpoints, plus its terminal reward, minus ``costs``.
+
+    ``terminal`` is the terminal reward at the horizon states if the caller has it.
+    """
     n = grid.n_steps
     times = grid.times
     total = np.zeros(states.shape[0])
@@ -394,7 +398,9 @@ def _path_totals(problem: SwitchingProblem, grid: TimeGrid, states, modes, costs
             total[sel] += grid.step * np.asarray(
                 problem.reward.running(times[i], states[sel, i], int(b)), dtype=float
             )
-    total += np.asarray(problem.reward.terminal(states[:, n]), dtype=float)
+    if terminal is None:
+        terminal = np.asarray(problem.reward.terminal(states[:, n]), dtype=float)
+    total += terminal
     return total - costs
 
 

@@ -85,20 +85,87 @@ def test_fit_two_dimensional_target_matches_column_fits(rows):
     assert np.all(coef[10] == 0.0)
 
 
+def _factor_designs():
+    rng = np.random.default_rng(5)
+    tall = np.column_stack([np.ones(200), rng.normal(size=(200, 6))])
+    return {
+        "tall": tall,
+        "duplicated column": np.column_stack([tall, tall[:, 2]]),
+        "constant column": np.column_stack([tall, np.full(200, 0.4)]),
+        # The shape of a standard-error block fit.
+        "9 x 11": np.column_stack([np.ones(9), rng.normal(size=(9, 10))]),
+        # Condition number about 2e9, past _SEMINORMAL_MAX_COND: lstsq at every fit.
+        "ill-conditioned": np.column_stack([tall, tall[:, 2] + 1e-9 * rng.normal(size=200)]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_factor_designs()))
+def test_a_reused_factor_solves_new_targets_as_lstsq_does(name):
+    design = _factor_designs()[name]
+    rows = design.shape[0]
+    rng = np.random.default_rng(6)
+    factor = solver_module._Factor()
+    first = rng.normal(size=(rows, 1))
+    coef, info = _fit(design, first, factor)
+    # The fit that fills the factor is lstsq's own.
+    assert np.array_equal(coef, _fit(design, first)[0])
+    assert factor.rank == info.rank
+    assert factor.keep[-1] == (name != "constant column")
+    assert (factor.gram is None) == (name == "ill-conditioned")
+    for scale in (1.0, 1e3):
+        target = scale * (rng.normal(size=(rows, 3)) + design[:, 1:2])
+        coef, info = _fit(design, target, factor)
+        if factor.gram is None:
+            assert np.array_equal(coef, _fit(design, target)[0])
+        sol, _, rank, _ = np.linalg.lstsq(design[:, factor.keep], target, rcond=None)
+        assert info.rank == rank
+        assert (info.rank < info.n_features) == (name in ("duplicated column", "9 x 11"))
+        assert np.all(coef[~factor.keep] == 0.0)
+        assert np.max(np.abs(coef[factor.keep] - sol)) <= 1e-10 * np.max(np.abs(target))
+
+
+def test_the_main_pass_factorizes_each_design_once(monkeypatch):
+    problem, grid, kwargs = _pinned_problem("hydro")
+    _forcing_fork(monkeypatch, False)
+    fit, factorize = solver_module._fit, solver_module._factorize
+    main_fits, factorizations = [], []
+
+    def fit_spy(design, target, factor=None):
+        if factor is not None:
+            main_fits.append(design.shape)
+        return fit(design, target, factor)
+
+    def factorize_spy(reduced, rank):
+        factorizations.append(reduced.shape)
+        return factorize(reduced, rank)
+
+    monkeypatch.setattr(solver_module, "_fit", fit_spy)
+    monkeypatch.setattr(solver_module, "_factorize", factorize_spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        surf = solve(problem, grid, **kwargs)
+    cells = problem.modes.n_modes * grid.n_steps
+    assert len(factorizations) == cells
+    assert len(main_fits) == cells * (surf.k_levels + 1)
+
+
 # Values recorded with the level-by-level solver that the one-kernel
 # pass replaced.  The coefficients are pinned through the CSV's digest.
+# The digests and hydro's histogram were recorded again once the main
+# pass reused each design's factor across levels: the coefficients moved
+# at round-off, and hydro's exactly tied switch chains broke differently.
 PINNED = {
     "hydro": dict(
         y0=2.983783819612753, y0_se=0.03431010765284233, lower_bound=1.1177012161567832,
         k_levels=8, converged=False,
-        histogram={6: 2, 7: 4, 8: 23, 9: 29, 10: 41, 11: 23, 12: 2, 13: 1, 14: 35, 15: 111,
-                   16: 330, 17: 304, 18: 73, 19: 17, 20: 5},
-        csv_sha256="4b843235d5e9ed5fa13683ef703b5970ae0898596ed03a31ffb8bd69026f9372",
+        histogram={6: 2, 7: 6, 8: 16, 9: 32, 10: 38, 11: 26, 12: 3, 13: 2, 14: 53, 15: 154,
+                   16: 298, 17: 265, 18: 78, 19: 22, 20: 5},
+        csv_sha256="37ce3dc29b3cde05d1a817e056fbc8598c00a491ca31bb736b0789fe5c13f975",
     ),
     "flow": dict(
         y0=0.7, y0_se=7.799805020102231e-17, lower_bound=0.6999999999999998,
         k_levels=2, converged=True, histogram={1: 2000},
-        csv_sha256="0667cf9dac5ee05c547228c012f15c5ffcd7508be7417eb614556ab45490e051",
+        csv_sha256="02847d506a73c6c8e415f933a8c32093cf2c161b6569a9f662930f6ca607fea0",
     ),
 }
 
@@ -722,6 +789,35 @@ def test_certify_never_repeats_a_decision(monkeypatch):
     assert report.switch_histogram == PINNED["hydro"]["histogram"]
     assert report.lower_bound == pytest.approx(PINNED["hydro"]["lower_bound"], rel=1e-9, abs=0.0)
     assert len(calls) == 100
+
+
+def test_certify_evaluates_the_terminal_reward_once(monkeypatch):
+    # The switch-then-stop count reads the terminal reward at post-switch
+    # states; every other call is at the horizon states themselves.
+    problem, grid = two_mode_flow_problem(n_steps=8)
+    terminal, switch_then_stop = problem.reward.terminal, solver_module._switch_then_stop
+    calls, inside = [], []
+
+    def counting(x):
+        if not inside:
+            calls.append(x.shape[0])
+        return terminal(x)
+
+    def switch_then_stop_spy(*args):
+        inside.append(True)
+        try:
+            return switch_then_stop(*args)
+        finally:
+            inside.pop()
+
+    problem = dataclasses.replace(
+        problem, reward=dataclasses.replace(problem.reward, terminal=counting)
+    )
+    surf = solve(problem, grid, n_paths=200, seed=0)
+    monkeypatch.setattr(solver_module, "_switch_then_stop", switch_then_stop_spy)
+    calls.clear()
+    certify(extract_policy(surf), n_paths=300, seed=1)
+    assert calls == [300]
 
 
 def test_ensemble_resets_each_explored_path_once():
