@@ -60,7 +60,11 @@ evaluates value tables for the policy through the same
 A decision builds the design at its states once, reads the level-k
 continuation from it, and asks only for the post-switch table of the
 levels below; the pre-switch table, which no decision reads, is never
-computed.
+computed.  The continuation values that tables and decisions read are
+products of a design with coefficients taken by ``np.einsum``, whose
+loops are numpy's own rather than BLAS's, so a value, and with it a
+decision, depends only on its own row and not on the rows evaluated
+beside it.
 
 Certification resimulates the extracted policy on a fresh seed and
 reports the gap between the root value and the realized reward.
@@ -128,12 +132,12 @@ class FeatureMap:
         out[:, 1 : nv + 1] = v
         col = nv + 1
         for deg in range(2, self.degree + 1):
-            for j in range(nv):
-                out[:, col + j] = v[:, j] ** deg
+            np.power(v, deg, out=out[:, col : col + nv])
             col += nv
         if self.cross_terms and self.degree >= 2:
-            left, right = np.triu_indices(nv, 1)
-            out[:, col:] = v[:, left] * v[:, right]
+            for j in range(nv - 1):
+                np.multiply(v[:, j : j + 1], v[:, j + 1 :], out=out[:, col : col + nv - 1 - j])
+                col += nv - 1 - j
         return out
 
     def n_features(self, dim: int, use_delay: bool) -> int:
@@ -242,7 +246,7 @@ def _fit(design: np.ndarray, target: np.ndarray, factor: Optional[_Factor] = Non
         sol = gram @ (reduced.T @ target)
         sol += gram @ (reduced.T @ (target - reduced @ sol))
     else:
-        keep = np.ptp(design, axis=0) != 0.0
+        keep = (design != design[0]).any(axis=0)
         keep[0] = True
         reduced = design[:, keep]
         sol, _, rank, _ = np.linalg.lstsq(reduced, target, rcond=None)
@@ -345,15 +349,16 @@ def _level_values(problem, fm, t, dt, x, yv, A, coef, target_range, below, cost,
         return built[-1]
 
     def fill(side, xs, b):
-        # One matrix-vector product per group and level: a matrix-matrix
-        # product rounds differently, and exact ties between same-instant
-        # switch chains (additive switch costs) would then break
-        # differently in the policy than in training.
+        # One einsum per group for all its levels.  Its loops are numpy's
+        # own, not BLAS, so each value depends only on its own row: a BLAS
+        # product can round a row differently with other rows beside it,
+        # and exact ties between same-instant switch chains (additive
+        # switch costs) would then break differently in the policy than in
+        # training, or with the batch a decision is made in.
         _, D, run = at(xs)
         for rows, c, r in zip(groups, coef[:, b - 1], target_range[:, b - 1]):
-            Dg, out = D[rows], side[:, b - 1, rows]
-            for lev in range(levels):
-                out[lev] = Dg @ c[lev]
+            out = side[:, b - 1, rows]
+            np.einsum("np,lp->ln", D[rows], c, out=out)
             np.clip(out, r[:, :1], r[:, 1:], out=out)
         if b not in run:
             run[b] = dt * np.asarray(problem.reward.running(t, xs, b), dtype=float)
@@ -543,7 +548,7 @@ class ValueSurface:
         run = self.grid.step * np.asarray(
             self.problem.reward.running(self.grid.times[i], x, b), dtype=float
         )
-        return run + np.clip(A @ self.coef[i, b - 1, k], lo, hi)
+        return run + np.clip(np.einsum("np,p->n", A, self.coef[i, b - 1, k]), lo, hi)
 
     @property
     def y0(self) -> float:
@@ -817,7 +822,10 @@ class Policy:
     the intervention value strictly beats the continuation value (ties
     continue, the lowest mode label wins among equal alternatives) and
     never switches at the horizon.  Both sides of the comparison are the
-    same expressions the training pass maximized.
+    same expressions the training pass maximized.  A decision is a
+    function of its row (i, b, x, y): it does not depend on the other
+    states in the batch, so deciding a batch whole, in parts or row by
+    row gives the same targets.
     """
 
     surface: ValueSurface
@@ -895,14 +903,15 @@ def certify(
     as in ``evaluate_reward``; a non-finite one raises ValueError.
 
     Switches at one instant are resolved in rounds, one decision per mode
-    per round, so that same-instant chains compose.  A mode whose rows and
-    states equal those of its previous decision at the instant (no path
-    left or entered it, or the ones that left came back unchanged) reuses
-    that decision's targets instead of deciding again: the call would see
-    the same batch and return the same targets.  Each switch is charged
-    from the surface's per-step cost matrix ``switch_cost``, the same
-    floats the training pass and the decisions compared; the cost model
-    is called only for the horizon check.
+    per round, so that same-instant chains compose.  A decision is a
+    function of its row, so each path keeps, per mode, the state and the
+    target of its last decision in that mode at the instant, and only
+    paths whose (mode, state) is new are decided: every path in the first
+    round, then only paths that switched into a mode with a state they
+    were not decided at there.  Each switch is charged from the surface's
+    per-step cost matrix ``switch_cost``, the same floats the training
+    pass and the decisions compared; the cost model is called only for
+    the horizon check.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
@@ -920,6 +929,11 @@ def certify(
     mode = np.full(n_paths, modes.initial, dtype=np.int64)
     cost_acc = np.zeros(n_paths)
     switch_count = np.zeros(n_paths, dtype=np.int64)
+    # Per mode and path, the state and the target of the path's last
+    # decision in that mode at the current instant.  The state is NaN
+    # until there is one, and NaN equals no state.
+    seen = np.empty((modes.n_modes, n_paths, spec.dim))
+    seen_target = np.empty((modes.n_modes, n_paths), dtype=np.int64)
 
     def decide(i, x, y, mode):
         # Switch resets write through the view ``x``.  Without a delay the
@@ -928,20 +942,25 @@ def certify(
         if i == n:
             return
         t = grid.times[i]
-        # Per mode, the rows, states and targets of its last decision at
-        # this instant; rows and states decide the call.
-        last = {}
+        seen.fill(np.nan)
+        # Paths whose state changed since their last decision: every path
+        # at the start of the instant, then the ones that switched.  Every
+        # other path was last told to stay in its mode.
+        pending = np.ones(n_paths, dtype=bool)
         for _ in range(modes.n_modes - 1):
             switched_any = False
             for b in np.unique(mode):
-                sel = np.flatnonzero(mode == b)
+                sel = np.flatnonzero(pending & (mode == b))
+                if sel.size == 0:
+                    continue
+                pending[sel] = False
                 xs = x[sel]
-                prev = last.get(b)
-                if prev and np.array_equal(prev[0], sel) and np.array_equal(prev[1], xs):
-                    targets = prev[2]
-                else:
-                    targets = policy.decide_batch(i, int(b), xs, y[sel])
-                    last[b] = (sel, xs, targets)
+                new = (seen[b - 1, sel] != xs).any(axis=1)
+                if new.any():
+                    fresh = sel[new]
+                    seen[b - 1, fresh] = xs[new]
+                    seen_target[b - 1, fresh] = policy.decide_batch(i, int(b), xs[new], y[fresh])
+                targets = seen_target[b - 1, sel]
                 hit = np.flatnonzero(targets)
                 if hit.size == 0:
                     continue
@@ -949,6 +968,7 @@ def certify(
                 rows = sel[hit]
                 cost_acc[rows] += surface.switch_cost[i, b - 1, targets[hit] - 1]
                 switch_count[rows] += 1
+                pending[rows] = True
                 _apply_switches(problem, t, x, mode, rows, targets[hit])
             if not switched_any:
                 break

@@ -152,15 +152,16 @@ def test_the_main_pass_factorizes_each_design_once(monkeypatch):
 # Values recorded with the level-by-level solver that the one-kernel
 # pass replaced.  The coefficients are pinned through the CSV's digest.
 # The digests and hydro's histogram were recorded again once the main
-# pass reused each design's factor across levels: the coefficients moved
-# at round-off, and hydro's exactly tied switch chains broke differently.
+# pass reused each design's factor across levels, and again once every
+# value product became row-exact: each time the coefficients moved at
+# round-off, and hydro's exactly tied switch chains broke differently.
 PINNED = {
     "hydro": dict(
         y0=2.983783819612753, y0_se=0.03431010765284233, lower_bound=1.1177012161567832,
         k_levels=8, converged=False,
-        histogram={6: 2, 7: 6, 8: 16, 9: 32, 10: 38, 11: 26, 12: 3, 13: 2, 14: 53, 15: 154,
-                   16: 298, 17: 265, 18: 78, 19: 22, 20: 5},
-        csv_sha256="37ce3dc29b3cde05d1a817e056fbc8598c00a491ca31bb736b0789fe5c13f975",
+        histogram={6: 2, 7: 3, 8: 22, 9: 29, 10: 41, 11: 23, 12: 4, 13: 1, 14: 18, 15: 74,
+                   16: 323, 17: 325, 18: 97, 19: 31, 20: 7},
+        csv_sha256="93ee8a40a20c969ee76a088cdba094d3304f2747151118887486d9177b04732f",
     ),
     "flow": dict(
         y0=0.7, y0_se=7.799805020102231e-17, lower_bound=0.6999999999999998,
@@ -766,21 +767,78 @@ def test_policy_values_equal_the_full_table_formula(name, monkeypatch):
     assert switched > 0
 
 
+def test_a_decision_depends_only_on_its_row():
+    # Deciding a batch whole, in two halves or row by row gives the same
+    # targets; a BLAS product rounds a row by the rows beside it.
+    problem, grid, kwargs = _pinned_problem("hydro")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        policy = extract_policy(solve(problem, grid, **kwargs))
+    pre, post, _, _ = _randomized_ensemble(problem, grid, 400, 11, None, 0.15)
+    pres = problem.dynamics.presegment(grid)
+    mismatches = switched = 0
+    for i in range(grid.n_steps):
+        x, y = pre[:, i], _lookback(post, pres, i)
+        for b in problem.modes.labels:
+            whole = policy.decide_batch(i, b, x, y)
+            halves = np.concatenate([policy.decide_batch(i, b, x[s], y[s])
+                                     for s in (slice(0, 200), slice(200, 400))])
+            rows = [policy.decide(i, b, xr, yr) for xr, yr in zip(x, y)]
+            mismatches += np.count_nonzero(halves != whole) + np.count_nonzero(rows != whole)
+            switched += np.count_nonzero(whole)
+    assert mismatches == 0
+    assert switched > 0
+
+
+@pytest.mark.parametrize("cross_terms", [False, True])
+def test_level_values_of_a_row_do_not_depend_on_the_batch(cross_terms):
+    problem, grid = build_hydro_problem(HydroParams(n_steps=8))
+    fm = FeatureMap(cross_terms=cross_terms)
+    pre, post, _, _ = _randomized_ensemble(problem, grid, 300, 1, None, 0.15)
+    i = 3
+    x, yv = pre[:, i], _lookback(post, problem.dynamics.presegment(grid), i)
+    m, p, levels = problem.modes.n_modes, fm.n_features(problem.dynamics.dim, True), 3
+    rng = np.random.default_rng(7)
+    coef = rng.normal(size=(1, m, levels, p)) / p
+    target_range = np.broadcast_to([-np.inf, np.inf], (1, m, levels, 2))
+    below = rng.normal(size=(m, 300))
+    cost = _switch_costs(problem, grid.times[i])
+
+    def values(x, yv, A, below):
+        return _level_values(problem, fm, grid.times[i], grid.step, x, yv, A, coef,
+                             target_range, below, cost)
+
+    tab, moved = values(x, yv, None, below)
+    for size in (1, 2, 37, 150):
+        rows = np.sort(rng.choice(300, size=size, replace=False))
+        sub = values(x[rows], yv[rows], None, below[:, rows])
+        # The same rows copied to an address one float off the allocation's.
+        A = fm.design(x[rows], yv[rows])
+        shifted = np.empty(A.size + 1)[1:].reshape(A.shape)
+        shifted[:] = A
+        for got in (sub, values(x[rows], yv[rows], shifted, below[:, rows])):
+            assert np.array_equal(got[0], tab[:, :, rows])
+            assert np.array_equal(got[1], moved[:, :, rows])
+
+
 def test_certify_never_repeats_a_decision(monkeypatch):
     problem, grid = build_hydro_problem(HydroParams(n_steps=8))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         surf = solve(problem, grid, feature_map=FeatureMap(cross_terms=False), n_paths=300, seed=3)
     decide = Policy.decide_batch
-    last = {}
+    seen = {}
     calls = []
 
     def spy(self, i, b, x, y):
-        # A call on the same states as that mode's previous call at this
-        # instant would return that call's targets again.
-        states = (x.tobytes(), np.ascontiguousarray(y).tobytes())
-        assert last.get((i, b)) != states
-        last[(i, b)] = states
+        # A decision is a function of its row, so a path decided again in
+        # the same mode with the same state at this instant would get the
+        # same target.  Distinct paths share a state only at t_0, where
+        # every path starts from the initial state and they move together.
+        rows = {xr.tobytes() + yr.tobytes() for xr, yr in zip(x, np.asarray(y))}
+        decided = seen.setdefault((i, b), set())
+        assert not rows & decided
+        decided |= rows
         calls.append((i, b))
         return decide(self, i, b, x, y)
 
@@ -788,7 +846,7 @@ def test_certify_never_repeats_a_decision(monkeypatch):
     report = certify(extract_policy(surf), n_paths=1000, seed=4)
     assert report.switch_histogram == PINNED["hydro"]["histogram"]
     assert report.lower_bound == pytest.approx(PINNED["hydro"]["lower_bound"], rel=1e-9, abs=0.0)
-    assert len(calls) == 100
+    assert len(calls) == 83
 
 
 def test_certify_evaluates_the_terminal_reward_once(monkeypatch):
