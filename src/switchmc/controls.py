@@ -390,13 +390,12 @@ def _path_totals(problem: SwitchingProblem, grid: TimeGrid, states, modes, costs
     ``terminal`` is the terminal reward at the horizon states if the caller has it.
     """
     n = grid.n_steps
-    times = grid.times
     total = np.zeros(states.shape[0])
     for i in range(n):
         for b in np.unique(modes[:, i]):
             sel = modes[:, i] == b
             total[sel] += grid.step * np.asarray(
-                problem.reward.running(times[i], states[sel, i], int(b)), dtype=float
+                problem.reward.running(grid.times[i], states[sel, i], int(b)), dtype=float
             )
     if terminal is None:
         terminal = np.asarray(problem.reward.terminal(states[:, n]), dtype=float)

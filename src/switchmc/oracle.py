@@ -66,7 +66,6 @@ class _EdgeStepper:
     def __init__(self, problem: SwitchingProblem, grid: TimeGrid):
         self.spec = problem.dynamics
         self.grid = grid
-        self.times = grid.times
         self.cache = {}
 
     def step(self, level: int, window: tuple, mode: int, dw: float, mark: int) -> tuple:
@@ -75,7 +74,7 @@ class _EdgeStepper:
         if hit is not None:
             return hit
         spec = self.spec
-        t = self.times[level]
+        t = self.grid.times[level]
         x = np.array([window[-1]])
         y = np.array([window[0]])
         counts = np.zeros((1, spec.n_marks))
@@ -211,7 +210,6 @@ def exact_dp(instance: OracleInstance, k_max: int, with_table: bool = True) -> O
     tree = instance.tree
     grid = instance.grid
     dt = grid.step
-    times = grid.times
     labels = list(problem.modes.labels)
     stepper = _EdgeStepper(problem, grid)
     memo = {}
@@ -226,7 +224,7 @@ def exact_dp(instance: OracleInstance, k_max: int, with_table: bool = True) -> O
             v = _scalar_terminal(problem, window[-1])
         else:
             level = int(tree.levels[node])
-            t = times[level]
+            t = grid.times[level]
             x = window[-1]
             v = _scalar_running(problem, t, x, b) * dt
             for child in kids:
@@ -276,7 +274,6 @@ def enumerate_controls(instance: OracleInstance, k_max: int) -> EnumerationResul
     tree = instance.tree
     grid = instance.grid
     dt = grid.step
-    times = grid.times
     stepper = _EdgeStepper(problem, grid)
     counter = [0]
 
@@ -302,7 +299,7 @@ def enumerate_controls(instance: OracleInstance, k_max: int) -> EnumerationResul
         if not kids:
             return _scalar_terminal(problem, window[-1]), ()
         level = int(tree.levels[node])
-        t = times[level]
+        t = grid.times[level]
         best = None
         best_chain = ()
         for chain, cost, b2, win2 in instant_options(t, b, k, window):

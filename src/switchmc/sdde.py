@@ -43,6 +43,7 @@ rather than storing them.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -116,9 +117,16 @@ class TimeGrid:
     def step(self) -> float:
         return self.horizon / self.n_steps
 
-    @property
+    @functools.cached_property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.n_steps + 1)
+        """The n_steps + 1 grid times, read-only; computed on first read."""
+        times = np.linspace(0.0, self.horizon, self.n_steps + 1)
+        times.flags.writeable = False
+        return times
+
+    def __getstate__(self):
+        # A copy or unpickled grid computes its own times, read-only too.
+        return {k: v for k, v in self.__dict__.items() if k != "times"}
 
     def index_of(self, t: float) -> int:
         """Grid index of time t; raises OffGridError if t is off the grid."""
@@ -451,7 +459,6 @@ def _simulate(spec: SddeSpec, grid: TimeGrid, mode: np.ndarray, brownian: np.nda
     ``STATE_BOUND`` raises DivergedError(i).
     """
     n = grid.n_steps
-    times = grid.times
     pres = spec.presegment(grid)
     states = np.empty((brownian.shape[0], n + 1, spec.dim))
     modes = np.empty((brownian.shape[0], n + 1), dtype=np.int64)
@@ -469,7 +476,7 @@ def _simulate(spec: SddeSpec, grid: TimeGrid, mode: np.ndarray, brownian: np.nda
             sel = mode == b
             counts = jump_counts[sel, i] if spec.jump_intensity > 0.0 else None
             x_new[sel] = x[sel] + euler_increment(
-                spec, grid.step, times[i], x[sel], y[sel], int(b), brownian[sel, i], counts
+                spec, grid.step, grid.times[i], x[sel], y[sel], int(b), brownian[sel, i], counts
             )
         _check_state(x_new, i + 1)
     return states, modes

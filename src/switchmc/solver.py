@@ -43,11 +43,12 @@ refits the same (step, mode) designs with new targets, so the main pass
 factorizes each design once per solve, beside its level-0 lstsq fit, and
 solves the levels above from that factor (see ``_fit``); a design whose
 condition number exceeds ``_SEMINORMAL_MAX_COND`` stays with lstsq.  Per
-design the solve holds the kept-column mask, the rank and one p x p
-matrix: 1.9 MB at p = 25 and 25 MB at p = 91 on a 64-step, 6-mode grid.
-Levels above 0 therefore agree with lstsq at round-off rather than bit
-for bit.  The standard-error blocks run as the groups of one pass over
-every level up to k_max: each group is fitted on its own rows, and only
+design the solve holds one record, ``_Factor``: the kept-column mask, the
+rank and one p x p matrix, which also give the probe standard errors and
+the count of rank-deficient fits: 1.9 MB at p = 25 and 25 MB at p = 91 on
+a 64-step, 6-mode grid.  Levels above 0 therefore agree with lstsq at
+round-off rather than bit for bit.  The standard-error blocks run as the
+groups of one pass over every level up to k_max: each group is fitted on its own rows, and only
 the fits and the products with their coefficients are per group.  On Linux, in a
 single-threaded process with a spare CPU, a forked child runs that block
 pass beside the main pass and writes its block roots into shared memory.
@@ -72,11 +73,10 @@ reports the gap between the root value and the realized reward.
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -148,27 +148,6 @@ class FeatureMap:
         return p
 
 
-@dataclass(frozen=True)
-class FitInfo:
-    rank: int
-    n_features: int
-    lsq: tuple = field(repr=False, compare=False)  # (design, kept columns, target, solution)
-
-    @functools.cached_property
-    def resid_std(self) -> np.ndarray:
-        """Residual std, one entry per target column; computed on first read."""
-        design, keep, target, sol = self.lsq
-        resid = np.ascontiguousarray((target - design[:, keep] @ sol).T)
-        return np.sqrt(np.array([r @ r for r in resid]) / max(design.shape[0] - self.rank, 1))
-
-    @functools.cached_property
-    def gram_pinv(self) -> np.ndarray:
-        """Pseudo-inverse of the Gram matrix of the kept columns; computed on first read."""
-        design, keep, _, _ = self.lsq
-        reduced = design[:, keep]
-        return np.linalg.pinv(reduced.T @ reduced)
-
-
 # Each refinement step of a semi-normal solve shrinks its error by about
 # cond² * eps.  Up to cond = 1e6 that is at most 2e-4, and one step brings
 # the fitted values of hydro's main-pass fits to lstsq's at 1e-11 of the
@@ -178,28 +157,31 @@ _SEMINORMAL_MAX_COND = 1e6
 
 @dataclass
 class _Factor:
-    """One design's kept columns, its rank and G = V_r S_r⁻² V_rᵀ on those columns.
+    """One design's kept columns R, its rank and G = pinv(RᵀR) (``_factorize``).
 
     Empty (``keep`` None) until the design's first ``_fit`` fills it;
     later fits of the same design with other targets read it instead of
-    factorizing again.  ``gram`` stays None for an ill-conditioned design,
-    which is then fitted by lstsq at every level.
+    factorizing again, and ``_prediction_se`` reads its leverages from G.
+    ``seminormal`` is False for an ill-conditioned design, which is then
+    fitted by lstsq at every level.
     """
 
     keep: Optional[np.ndarray] = None
     rank: int = 0
     gram: Optional[np.ndarray] = None
+    seminormal: bool = False
 
 
-def _factorize(reduced: np.ndarray, rank: int) -> Optional[np.ndarray]:
-    """G = V_r S_r⁻² V_rᵀ of ``reduced``, truncated at ``rank`` singular values.
+def _factorize(reduced: np.ndarray, rank: int) -> tuple[np.ndarray, bool]:
+    """(G, seminormal): G = V_r S_r⁻² V_rᵀ of ``reduced``, truncated at ``rank`` singular values.
 
     Both forms below start from the triangle T of a QR factorization, so
     the n x r left factor of ``reduced`` is never formed.  At full column
-    rank G is T⁻¹T⁻ᵀ; below it, the SVD of T gives V and S.  Returns None
-    when T's condition number over the kept singular values exceeds
-    ``_SEMINORMAL_MAX_COND``; at full rank its Frobenius-norm bound
-    ``|T| |T⁻¹|`` stands in for it.
+    rank G is T⁻¹T⁻ᵀ; below it, the SVD of T gives V and S.  When T's
+    condition number over the kept singular values exceeds
+    ``_SEMINORMAL_MAX_COND`` (at full rank its Frobenius-norm bound
+    ``|T| |T⁻¹|`` stands in for it), G is ``pinv(reducedᵀ reduced)``,
+    for the standard errors only, and ``seminormal`` is False.
     """
     tri = np.linalg.qr(reduced, mode="r")
     if rank == reduced.shape[1]:
@@ -211,7 +193,9 @@ def _factorize(reduced: np.ndarray, rank: int) -> Optional[np.ndarray]:
         cond = s[0] / s[rank - 1]
         v = vt[:rank].T
         gram = (v / s[:rank] ** 2) @ v.T
-    return gram if cond <= _SEMINORMAL_MAX_COND else None
+    if cond <= _SEMINORMAL_MAX_COND:
+        return gram, True
+    return np.linalg.pinv(reduced.T @ reduced), False
 
 
 def _fit(design: np.ndarray, target: np.ndarray, factor: Optional[_Factor] = None):
@@ -230,18 +214,18 @@ def _fit(design: np.ndarray, target: np.ndarray, factor: Optional[_Factor] = Non
     eps * max(n_rows, n_kept) times the largest.
 
     The target is 2-D, one column per right-hand side, all fitted in a
-    single solve; the coefficients have one column per target column.
+    single solve.  Returns the coefficients, one column per target column.
 
     ``factor`` is a ``_Factor`` of this design, or None.  An empty one is
     filled beside the lstsq call: the kept columns, lstsq's rank, and
-    G = V_r S_r⁻² V_rᵀ of R truncated at that rank (``_factorize``).  One
-    with a G replaces lstsq by the corrected semi-normal equations
+    G = V_r S_r⁻² V_rᵀ of R truncated at that rank (``_factorize``).  A
+    ``seminormal`` one replaces lstsq by the corrected semi-normal equations
     c = G Rᵀy, then one refinement step c += G Rᵀ(y − Rc) (Björck 1996,
     *Numerical Methods for Least Squares Problems*).  That is the same
     minimum-norm solution, and it agrees with lstsq at round-off.
     """
-    if factor is not None and factor.gram is not None:
-        keep, rank, gram = factor.keep, factor.rank, factor.gram
+    if factor is not None and factor.seminormal:
+        keep, gram = factor.keep, factor.gram
         reduced = design[:, keep]
         sol = gram @ (reduced.T @ target)
         sol += gram @ (reduced.T @ (target - reduced @ sol))
@@ -251,18 +235,24 @@ def _fit(design: np.ndarray, target: np.ndarray, factor: Optional[_Factor] = Non
         reduced = design[:, keep]
         sol, _, rank, _ = np.linalg.lstsq(reduced, target, rcond=None)
         if factor is not None and factor.keep is None:
-            factor.keep, factor.rank, factor.gram = keep, int(rank), _factorize(reduced, rank)
+            factor.keep, factor.rank = keep, int(rank)
+            factor.gram, factor.seminormal = _factorize(reduced, rank)
     coef = np.zeros((design.shape[1], target.shape[1]))
     coef[keep] = sol
-    info = FitInfo(int(rank), int(keep.sum()), (design, keep, target, sol))
-    return coef, info
+    return coef
 
 
-def _prediction_se(info: FitInfo, eval_design: np.ndarray) -> np.ndarray:
-    """Prediction standard error of a fit's first target column, on the columns ``_fit`` kept."""
-    rows = eval_design[:, info.lsq[1]]
-    lev = np.einsum("ij,jk,ik->i", rows, info.gram_pinv, rows)
-    return info.resid_std[0] * np.sqrt(np.maximum(lev, 0.0))
+def _resid_std(design: np.ndarray, target: np.ndarray, coef: np.ndarray, factor: _Factor):
+    """Residual std of a fit of ``design`` filled into ``factor``, one entry per target column."""
+    resid = np.ascontiguousarray((target - design[:, factor.keep] @ coef[factor.keep]).T)
+    return np.sqrt(np.array([r @ r for r in resid]) / max(design.shape[0] - factor.rank, 1))
+
+
+def _prediction_se(factor: _Factor, resid_std: float, eval_design: np.ndarray) -> np.ndarray:
+    """Prediction standard error at ``eval_design`` of a fit, with leverages read from G."""
+    rows = eval_design[:, factor.keep]
+    lev = np.einsum("ij,jk,ik->i", rows, factor.gram, rows)
+    return resid_std * np.sqrt(np.maximum(lev, 0.0))
 
 
 def _isotonic(seq: np.ndarray) -> np.ndarray:
@@ -388,12 +378,12 @@ class _Step(NamedTuple):
     coef: np.ndarray  # (n_groups, n_modes, L, n_features)
     target_range: np.ndarray  # (n_groups, n_modes, L, 2)
     A_pre: np.ndarray
-    fits: list  # FitInfo per group and mode
+    resid_std: Optional[np.ndarray]  # (n_groups, n_modes) at a ``resid_steps`` step, else None
     n_empty: int  # (group, mode) fits with no path in the mode, fitted on the whole group
 
 
 def _backward_pass(problem, grid, fm, ens, groups, n_levels, below, cost, on_step=None,
-                   factors=None) -> _Step:
+                   factors=None, resid_steps=()) -> _Step:
     """Fit ``n_levels`` consecutive budget levels in one time-major pass.
 
     ``ens`` is (pre-switch states, post-switch states, the mode driving
@@ -410,7 +400,9 @@ def _backward_pass(problem, grid, fm, ens, groups, n_levels, below, cost, on_ste
     the step-0 record is returned.  ``factors`` holds one ``_Factor`` per
     step and mode, kept across calls, when ``groups`` is the single group
     of the main pass: each design is then factorized by its first fit
-    only.  Without it every fit runs lstsq.
+    only.  Without it every fit runs lstsq.  At the steps in
+    ``resid_steps``, which need ``factors``, the record carries the
+    residual std of each fit's first target column.
     """
     pre, post, mode_of_step, g_pre = ens
     pres = problem.dynamics.presegment(grid)
@@ -423,7 +415,7 @@ def _backward_pass(problem, grid, fm, ens, groups, n_levels, below, cost, on_ste
         A_pre = fm.design(pre[:, i], y_del)
         coef = np.empty((len(groups), m, n_levels, A_post.shape[1]))
         target_range = np.empty((len(groups), m, n_levels, 2))
-        fits = []
+        resid_std = np.empty((len(groups), m)) if i in resid_steps else None
         n_empty = 0
         for g, rows_g in enumerate(groups):
             for b in problem.modes.labels:
@@ -433,16 +425,17 @@ def _backward_pass(problem, grid, fm, ens, groups, n_levels, below, cost, on_ste
                     n_empty += 1
                 target = nxt[:, b - 1, rows].T
                 factor = None if factors is None else factors[i][b - 1]
-                c, info = _fit(A_post[rows], target, factor)
+                c = _fit(A_post[rows], target, factor)
                 coef[g, b - 1] = c.T
                 target_range[g, b - 1, :, 0] = target.min(axis=0)
                 target_range[g, b - 1, :, 1] = target.max(axis=0)
-                fits.append(info)
+                if resid_std is not None:
+                    resid_std[g, b - 1] = _resid_std(A_post[rows], target, c, factor)[0]
         tab, moved = _level_values(
             problem, fm, grid.times[i], grid.step, pre[:, i], y_del, A_pre, coef, target_range,
             None if below is None else below[i], cost[i], groups,
         )
-        step = _Step(i, tab, moved, coef, target_range, A_pre, fits, n_empty)
+        step = _Step(i, tab, moved, coef, target_range, A_pre, resid_std, n_empty)
         if on_step is not None:
             on_step(step)
         nxt = tab
@@ -668,7 +661,7 @@ def solve(
     ens = (pre, post, mode_of_step, g_pre)
     cost = np.stack([_switch_costs(problem, t) for t in grid.times[:n]])
 
-    n_empty = n_rank_deficient = 0
+    n_empty = 0
     gap_by_k = []
     coef = np.zeros((n, m, k_max + 1, p))
     target_range = np.zeros((n, m, k_max + 1, 2))
@@ -694,20 +687,20 @@ def solve(
         moved_k = np.empty((n, m, n_paths))
 
         def record(step: _Step):
-            nonlocal n_empty, n_rank_deficient
+            nonlocal n_empty
             i = step.i
             moved_k[i] = step.moved[0]
             coef[i, :, k] = step.coef[0, :, 0]
             target_range[i, :, k] = step.target_range[0, :, 0]
             n_empty += step.n_empty
-            n_rank_deficient += sum(info.rank < info.n_features for info in step.fits)
             if i in probe_times:
                 j = probe_times.index(i)
                 probe[k, :, j] = step.tab[0, :, :q]
-                for b, info in zip(labels, step.fits):
-                    probe_se[k, b - 1, j] = _prediction_se(info, step.A_pre[:q])
+                for b, factor, std in zip(labels, factors[i], step.resid_std[0]):
+                    probe_se[k, b - 1, j] = _prediction_se(factor, std, step.A_pre[:q])
 
-        _backward_pass(problem, grid, fm, ens, [slice(0, n_paths)], 1, below, cost, record, factors)
+        _backward_pass(problem, grid, fm, ens, [slice(0, n_paths)], 1, below, cost, record,
+                       factors, probe_times)
         if not np.isfinite(probe[k]).all():
             raise ValueError(f"level {k} values are not finite: the rewards must be finite")
         return moved_k
@@ -777,6 +770,8 @@ def solve(
                 col[:] = _isotonic(col)
             spread = roots[:levels].std(axis=2, ddof=1) / np.sqrt(n_blocks)
             root_se_k = np.maximum(root_se_k, spread)
+    # Every level refits the same designs with the same rank.
+    n_rank_deficient = levels * sum(f.rank < int(f.keep.sum()) for row in factors for f in row)
     keys = [(k, b) for k in range(levels) for b in labels]
     root_value = {(k, b): float(probe[k, b - 1, 0, 0]) for k, b in keys}
     root_se = {(k, b): float(root_se_k[k, b - 1]) for k, b in keys}

@@ -1,5 +1,6 @@
 """Simulator tests: grid mechanics, noise draws, Euler stepping, delay handling."""
 
+import copy
 import dataclasses
 import io
 import os
@@ -55,6 +56,18 @@ def test_grid_basics():
         TimeGrid(1.0, 0)
     with pytest.raises(ValueError):
         TimeGrid(-1.0, 4)
+
+
+def test_grid_times_are_computed_once_and_read_only():
+    grid = TimeGrid(2.0, 8)
+    times = grid.times
+    assert grid.times is times
+    assert np.array_equal(times, np.linspace(0.0, 2.0, 9))
+    assert not times.flags.writeable
+    with pytest.raises(ValueError):
+        times[0] = 1.0
+    for copied in (copy.deepcopy(grid), pickle.loads(pickle.dumps(grid))):
+        assert copied == grid and not copied.times.flags.writeable
 
 
 @pytest.mark.parametrize("name", ["jump_intensity", "delay"])

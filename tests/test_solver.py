@@ -63,10 +63,11 @@ def test_fit_recovers_linear_model_and_prunes_constants():
     x = rng.normal(size=(200, 1))
     design = np.column_stack([np.ones(200), x[:, 0], np.full(200, 3.7)])
     target = (2.0 + 0.5 * x[:, 0])[:, None]
-    coef, info = _fit(design, target)
+    factor = solver_module._Factor()
+    coef = _fit(design, target, factor)
     assert coef[2, 0] == 0.0
     assert np.allclose(design @ coef, target, atol=1e-10)
-    assert info.resid_std[0] < 1e-10
+    assert solver_module._resid_std(design, target, coef, factor)[0] < 1e-10
 
 
 @pytest.mark.parametrize("rows", [200, 9])
@@ -75,13 +76,17 @@ def test_fit_two_dimensional_target_matches_column_fits(rows):
     rng = np.random.default_rng(3)
     design = np.column_stack([np.ones(rows), rng.normal(size=(rows, 9)), np.full(rows, 0.4)])
     target = rng.normal(size=(rows, 5)) + design[:, 1:2]
-    coef, info = _fit(design, target)
-    assert coef.shape == (11, 5) and info.resid_std.shape == (5,)
+    factor = solver_module._Factor()
+    coef = _fit(design, target, factor)
+    resid_std = solver_module._resid_std(design, target, coef, factor)
+    assert coef.shape == (11, 5) and resid_std.shape == (5,)
     for j in range(5):
-        coef_j, info_j = _fit(design, target[:, j:j + 1])
+        factor_j = solver_module._Factor()
+        coef_j = _fit(design, target[:, j:j + 1], factor_j)
         assert np.allclose(coef[:, j], coef_j[:, 0], rtol=0.0, atol=1e-12)
-        assert abs(info.resid_std[j] - info_j.resid_std[0]) <= 1e-12
-        assert (info.rank, info.n_features) == (info_j.rank, info_j.n_features)
+        resid_std_j = solver_module._resid_std(design, target[:, j:j + 1], coef_j, factor_j)
+        assert abs(resid_std[j] - resid_std_j[0]) <= 1e-12
+        assert factor.rank == factor_j.rank and np.array_equal(factor.keep, factor_j.keep)
     assert np.all(coef[10] == 0.0)
 
 
@@ -106,22 +111,39 @@ def test_a_reused_factor_solves_new_targets_as_lstsq_does(name):
     rng = np.random.default_rng(6)
     factor = solver_module._Factor()
     first = rng.normal(size=(rows, 1))
-    coef, info = _fit(design, first, factor)
+    coef = _fit(design, first, factor)
     # The fit that fills the factor is lstsq's own.
-    assert np.array_equal(coef, _fit(design, first)[0])
-    assert factor.rank == info.rank
+    assert np.array_equal(coef, _fit(design, first))
     assert factor.keep[-1] == (name != "constant column")
-    assert (factor.gram is None) == (name == "ill-conditioned")
+    assert factor.seminormal == (name != "ill-conditioned")
     for scale in (1.0, 1e3):
         target = scale * (rng.normal(size=(rows, 3)) + design[:, 1:2])
-        coef, info = _fit(design, target, factor)
-        if factor.gram is None:
-            assert np.array_equal(coef, _fit(design, target)[0])
+        coef = _fit(design, target, factor)
+        if not factor.seminormal:
+            assert np.array_equal(coef, _fit(design, target))
         sol, _, rank, _ = np.linalg.lstsq(design[:, factor.keep], target, rcond=None)
-        assert info.rank == rank
-        assert (info.rank < info.n_features) == (name in ("duplicated column", "9 x 11"))
+        assert factor.rank == rank
+        assert (factor.rank < factor.keep.sum()) == (name in ("duplicated column", "9 x 11"))
         assert np.all(coef[~factor.keep] == 0.0)
         assert np.max(np.abs(coef[factor.keep] - sol)) <= 1e-10 * np.max(np.abs(target))
+
+
+@pytest.mark.parametrize("name", sorted(_factor_designs()))
+def test_the_probe_se_reads_the_leverages_from_the_factor(name):
+    design = _factor_designs()[name]
+    factor = solver_module._Factor()
+    _fit(design, np.random.default_rng(7).normal(size=(design.shape[0], 1)), factor)
+    evals = np.random.default_rng(8).normal(size=(12, design.shape[1]))
+    evals[:, 0] = 1.0
+    se = solver_module._prediction_se(factor, 0.5, evals)
+    R, E = design[:, factor.keep], evals[:, factor.keep]
+    if factor.seminormal:
+        # Leverages against the pseudo-inverse of R itself, at lstsq's rank.
+        lev = ((E @ np.linalg.pinv(R, rcond=max(R.shape) * np.finfo(float).eps)) ** 2).sum(1)
+        assert np.allclose(se, 0.5 * np.sqrt(lev), rtol=1e-12, atol=0.0)
+    else:
+        lev = np.einsum("ij,jk,ik->i", E, np.linalg.pinv(R.T @ R), E)
+        assert np.array_equal(se, 0.5 * np.sqrt(np.maximum(lev, 0.0)))
 
 
 def test_the_main_pass_factorizes_each_design_once(monkeypatch):
@@ -341,6 +363,17 @@ def _pinned_problem(name):
         return problem, grid, dict(feature_map=FeatureMap(cross_terms=False), n_paths=300, seed=3)
     problem, grid = two_mode_flow_problem(n_steps=8)
     return problem, grid, dict(n_paths=2000, seed=0)
+
+
+@pytest.mark.parametrize("name, count", [("hydro", 243), ("flow", 0)])
+def test_rank_deficient_fits_are_counted_over_every_level_run(name, count):
+    # Counted fit by fit when first recorded; every main-pass level refits
+    # the same designs with the same rank, so the factors give the count.
+    problem, grid, kwargs = _pinned_problem(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        diag = solve(problem, grid, **kwargs).diagnostics
+    assert diag.rank_deficient_fits == count and type(diag.rank_deficient_fits) is int
 
 
 @pytest.mark.parametrize("name", ["hydro", "flow"])
