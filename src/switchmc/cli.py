@@ -205,6 +205,11 @@ def cmd_solve(args) -> int:
 
 def cmd_compare_oracle(args) -> int:
     cfg = load_config(args.config)
+    if cfg.solver.quantization not in (None, args.branching):
+        raise ConfigError(
+            f"compare-oracle solves on the --branching {args.branching} lattice; "
+            f"solver.quantization {cfg.solver.quantization} differs from it"
+        )
     problem, grid = cfg.build_problem()
     instance = build_lattice(problem, grid, branching=args.branching)
     surface, n_paths = _solve(problem, grid, cfg.solver, args, args.branching)
@@ -240,6 +245,9 @@ def cmd_hydro_demo(args) -> int:
         raise ValueError("--certify-paths must be at least 2")
     if args.config:
         cfg = load_config(args.config)
+        if cfg.solver.quantization is not None:
+            raise ConfigError("hydro-demo solves and certifies on Gaussian noise; "
+                              "solver.quantization must be null")
         params = cfg.hydro_params()
         base = cfg.solver
     else:
@@ -295,7 +303,11 @@ def cmd_water_value(args) -> int:
     if not args.bump > 0.0:
         raise ValueError("--bump must be strictly positive")
     if args.config:
-        params = load_config(args.config).hydro_params()
+        cfg = load_config(args.config)
+        if cfg.solver != SolverSettings():
+            raise ConfigError("water-value takes its solver settings from --paths and --k-max; "
+                              "the config's solver section must be absent or default")
+        params = cfg.hydro_params()
     else:
         params = HydroParams()
     levels = np.array([float(v) for v in args.levels.split(",")])

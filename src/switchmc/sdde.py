@@ -186,7 +186,8 @@ class SddeSpec:
     delay : float
         Lookback lag; must be a grid multiple (checked per grid).
     initial_segment : callable
-        ``initial_segment(s) -> (dim,)`` for s in [-delay, 0].
+        ``initial_segment(s) -> (dim,)`` for s in [-delay, 0].  The
+        default, a single zero, fits ``dim == 1`` only.
     """
 
     dim: int
@@ -210,6 +211,9 @@ class SddeSpec:
             raise ValueError("jump_intensity > 0 requires jump_coeff and marks")
         if not self.delay >= 0.0:
             raise ValueError("delay must be nonnegative")
+        n_values = np.size(self.initial_segment(0.0))
+        if n_values != self.dim:
+            raise ValueError(f"initial_segment(0.0) has {n_values} values, not dim = {self.dim}")
 
     def delay_steps(self, grid: TimeGrid) -> int:
         """Delay expressed in grid steps; errors if not a grid multiple."""

@@ -32,12 +32,13 @@ The family is built by backward induction in the budget index:
   training cloud.
 
 The recursion is written once.  ``_backward_pass`` runs a contiguous
-range of levels k_lo..k_hi in one time-major pass: from the horizon
-down, each step builds its designs once, makes one multi-column fit per
-mode for all levels of the range, and hands the fitted coefficients to
-``_level_values``, which evaluates continuation and best intervention
-level by level on top of level k_lo-1's post-switch table.  The main
-pass calls it once per level, because it is also the stopping search and
+range of levels k_lo..k_hi in one time-major pass and yields one record
+per step: from the horizon down, each step builds its designs once,
+makes one multi-column fit per mode for all levels of the range, and
+hands the fitted coefficients to ``_level_values``, which evaluates
+continuation and best intervention level by level on top of level
+k_lo-1's post-switch table.  The main pass is one loop over the budget
+levels, one pass per level, because it is also the stopping search and
 must not fit levels above the one where the family settles.  Each level
 refits the same (step, mode) designs with new targets, so the main pass
 factorizes each design once per solve, beside its level-0 lstsq fit, and
@@ -48,10 +49,11 @@ rank and one p x p matrix, which also give the probe standard errors and
 the count of rank-deficient fits: 1.9 MB at p = 25 and 25 MB at p = 91 on
 a 64-step, 6-mode grid.  Levels above 0 therefore agree with lstsq at
 round-off rather than bit for bit.  The standard-error blocks run as the
-groups of one pass over every level up to k_max: each group is fitted on its own rows, and only
-the fits and the products with their coefficients are per group.  On Linux, in a
-single-threaded process with a spare CPU, a forked child runs that block
-pass beside the main pass and writes its block roots into shared memory.
+groups of one pass over every level up to k_max: each group is fitted on
+its own rows, and only the fits and the products with their coefficients
+are per group.  On Linux, in a single-threaded process with a spare CPU,
+a forked child runs that block pass beside the main pass and writes its
+block roots into shared memory.
 Once the main pass ends they are taken if the child exited cleanly,
 without an exception or a warning; otherwise the block pass runs again
 inline.  The outputs, warnings and exceptions are those of an inline run.
@@ -377,13 +379,12 @@ class _Step(NamedTuple):
     moved: np.ndarray  # (L, n_modes, n_rows) post-switch values
     coef: np.ndarray  # (n_groups, n_modes, L, n_features)
     target_range: np.ndarray  # (n_groups, n_modes, L, 2)
-    A_pre: np.ndarray
-    resid_std: Optional[np.ndarray]  # (n_groups, n_modes) at a ``resid_steps`` step, else None
+    probe_se: Optional[np.ndarray]  # (n_modes, probe_rows) at a probe step, else None
     n_empty: int  # (group, mode) fits with no path in the mode, fitted on the whole group
 
 
-def _backward_pass(problem, grid, fm, ens, groups, n_levels, below, cost, on_step=None,
-                   factors=None, resid_steps=()) -> _Step:
+def _backward_pass(problem, grid, fm, ens, groups, n_levels, below, cost, factors=None,
+                   probe_steps=(), probe_rows=0):
     """Fit ``n_levels`` consecutive budget levels in one time-major pass.
 
     ``ens`` is (pre-switch states, post-switch states, the mode driving
@@ -395,14 +396,15 @@ def _backward_pass(problem, grid, fm, ens, groups, n_levels, below, cost, on_ste
     designs once and makes one multi-column fit per group and mode.
     ``below`` is the post-switch table (n_steps, n_modes, n_rows) of the
     level under the lowest one, None when the range starts at level 0;
-    ``cost`` holds the switch cost matrix per step.  Only one step's
-    tables are alive at a time; ``on_step`` sees each step's record and
-    the step-0 record is returned.  ``factors`` holds one ``_Factor`` per
-    step and mode, kept across calls, when ``groups`` is the single group
-    of the main pass: each design is then factorized by its first fit
-    only.  Without it every fit runs lstsq.  At the steps in
-    ``resid_steps``, which need ``factors``, the record carries the
-    residual std of each fit's first target column.
+    ``cost`` holds the switch cost matrix per step.  Yields one ``_Step``
+    per grid index, from the horizon down to 0; only one step's tables
+    are alive at a time.  ``factors`` holds one ``_Factor`` per step and
+    mode, kept across calls, when ``groups`` is the single group of the
+    main pass: each design is then factorized by its first fit only.
+    Without it every fit runs lstsq.  At the steps in ``probe_steps``,
+    which need ``factors``, the record carries each fit's design standard
+    error at the first ``probe_rows`` pre-switch states, for its first
+    target column.
     """
     pre, post, mode_of_step, g_pre = ens
     pres = problem.dynamics.presegment(grid)
@@ -415,7 +417,7 @@ def _backward_pass(problem, grid, fm, ens, groups, n_levels, below, cost, on_ste
         A_pre = fm.design(pre[:, i], y_del)
         coef = np.empty((len(groups), m, n_levels, A_post.shape[1]))
         target_range = np.empty((len(groups), m, n_levels, 2))
-        resid_std = np.empty((len(groups), m)) if i in resid_steps else None
+        probe_se = np.empty((m, probe_rows)) if i in probe_steps else None
         n_empty = 0
         for g, rows_g in enumerate(groups):
             for b in problem.modes.labels:
@@ -429,17 +431,15 @@ def _backward_pass(problem, grid, fm, ens, groups, n_levels, below, cost, on_ste
                 coef[g, b - 1] = c.T
                 target_range[g, b - 1, :, 0] = target.min(axis=0)
                 target_range[g, b - 1, :, 1] = target.max(axis=0)
-                if resid_std is not None:
-                    resid_std[g, b - 1] = _resid_std(A_post[rows], target, c, factor)[0]
+                if probe_se is not None:
+                    std = _resid_std(A_post[rows], target, c, factor)[0]
+                    probe_se[b - 1] = _prediction_se(factor, std, A_pre[:probe_rows])
         tab, moved = _level_values(
             problem, fm, grid.times[i], grid.step, pre[:, i], y_del, A_pre, coef, target_range,
             None if below is None else below[i], cost[i], groups,
         )
-        step = _Step(i, tab, moved, coef, target_range, A_pre, resid_std, n_empty)
-        if on_step is not None:
-            on_step(step)
+        yield _Step(i, tab, moved, coef, target_range, probe_se, n_empty)
         nxt = tab
-    return step
 
 
 @dataclass
@@ -552,20 +552,14 @@ class ValueSurface:
         return self.root_se[(self.k_levels, self.problem.modes.initial)]
 
 
-def _randomized_ensemble(
-    problem: SwitchingProblem,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    quantization,
-    explore_prob: float,
-):
+def _randomized_ensemble(problem: SwitchingProblem, grid: TimeGrid, n_paths: int, seed: int,
+                         quantization):
     """Paths whose mode re-rolls at random grid instants.
 
     At time zero half the paths keep the initial mode and half draw a
     uniform one, so every mode carries data from the first step on; at
     interior instants each path switches to a uniform other mode with
-    probability ``explore_prob``.  Reset maps are applied, costs are not
+    probability ``EXPLORE_PROB``.  Reset maps are applied, costs are not
     (the randomization samples states, it does not act).  Returns
     pre-switch states, post-switch states, the mode driving each step
     and the delay in steps.  Per-path noise and mode draws come from one
@@ -596,7 +590,7 @@ def _randomized_ensemble(
                 # The pick-th label other than the path's mode.
                 target = pick_switch[:, i] + 1
                 target += target >= mode
-                rolled = u_switch[:, i] < explore_prob
+                rolled = u_switch[:, i] < EXPLORE_PROB
             rows = np.flatnonzero(rolled)
             _apply_switches(problem, grid.times[i], x, mode, rows, target[rows])
 
@@ -620,8 +614,11 @@ def solve(
     statistically resolvable probe move against k-1 (the change beyond
     three paired standard errors) fall below 1e-3 * (1 + |root value|);
     otherwise runs to k_max and flags the surface as unconverged (with a
-    warning carrying the last gap).  A level whose values at the probe
-    states are not finite, as from a non-finite reward, raises ValueError.
+    warning carrying the last gap).  The main pass is one loop over k
+    that copies what the stopping rule and the surface read from the
+    steps each level's ``_backward_pass`` yields.  A level whose values
+    at the probe states are not finite, as from a non-finite reward,
+    raises ValueError.
     The standard-error blocks may run in a forked child (see the module
     docstring), so the problem's callables must not rely on side effects.
     """
@@ -643,9 +640,7 @@ def solve(
         k_max = m + 2
     n = grid.n_steps
 
-    pre, post, mode_of_step, d = _randomized_ensemble(
-        problem, grid, n_paths, seed, quantization, EXPLORE_PROB
-    )
+    pre, post, mode_of_step, d = _randomized_ensemble(problem, grid, n_paths, seed, quantization)
     use_delay = d > 0
     p = fm.n_features(problem.dynamics.dim, use_delay)
     probe_times = sorted({0, n // 4, n // 2, (3 * n) // 4} - {n})
@@ -673,38 +668,6 @@ def solve(
     # each one beside its lstsq call, and the levels above reuse the factor.
     factors = [[_Factor() for _ in labels] for _ in range(n)]
 
-    def main_level(k: int, below):
-        """Level k on the full ensemble; returns its post-switch table.
-
-        Records the level's fits and its probe values with their
-        design-conditional standard errors.  Regression targets stay raw;
-        probe values are projected onto the nondecreasing-in-k cone once
-        the budget loop finishes, since that is a property of the
-        quantity they estimate.  Clamping the training targets instead
-        would rectify fit noise upward at every step and compound that
-        bias through the backward recursion.
-        """
-        moved_k = np.empty((n, m, n_paths))
-
-        def record(step: _Step):
-            nonlocal n_empty
-            i = step.i
-            moved_k[i] = step.moved[0]
-            coef[i, :, k] = step.coef[0, :, 0]
-            target_range[i, :, k] = step.target_range[0, :, 0]
-            n_empty += step.n_empty
-            if i in probe_times:
-                j = probe_times.index(i)
-                probe[k, :, j] = step.tab[0, :, :q]
-                for b, factor, std in zip(labels, factors[i], step.resid_std[0]):
-                    probe_se[k, b - 1, j] = _prediction_se(factor, std, step.A_pre[:q])
-
-        _backward_pass(problem, grid, fm, ens, [slice(0, n_paths)], 1, below, cost, record,
-                       factors, probe_times)
-        if not np.isfinite(probe[k]).all():
-            raise ValueError(f"level {k} values are not finite: the rewards must be finite")
-        return moved_k
-
     # The design-conditional root SE treats the regression targets as
     # data, but they are themselves fitted, so it badly understates the
     # sampling error of the whole recursion.  Rerunning the pass on
@@ -721,20 +684,41 @@ def solve(
 
     def run_blocks() -> None:
         """Writes each block's raw root values for levels 0..k_max into ``roots``."""
-        first = _backward_pass(problem, grid, fm, ens, blocks, k_max + 1, None, cost)
-        roots[:] = first.tab[:, :, edges[:-1]]
+        for step in _backward_pass(problem, grid, fm, ens, blocks, k_max + 1, None, cost):
+            pass
+        roots[:] = step.tab[:, :, edges[:-1]]  # step 0's
 
     # With a spare CPU, a forked child runs the block pass beside the main
     # pass and is read once the main pass ends; otherwise the block pass
     # runs here at that point.  The child is killed if the main pass raises.
     with _Child.beside(fork, run_blocks) as block_pass:
         # The main pass runs level by level: it is the stopping search, and
-        # no level above the stopping one gets fitted.
-        moved_prev = main_level(0, None)
-        k_final = 0
+        # no level above the stopping one gets fitted.  Regression targets
+        # stay raw; probe values are projected onto the nondecreasing-in-k
+        # cone once the budget loop finishes, since that is a property of
+        # the quantity they estimate.  Clamping the training targets instead
+        # would rectify fit noise upward at every step and compound that
+        # bias through the backward recursion.
+        below = None
         converged = False
-        for k in range(1, k_max + 1):
-            moved_prev = main_level(k, moved_prev)
+        for k in range(k_max + 1):
+            moved = np.empty((n, m, n_paths))
+            for step in _backward_pass(problem, grid, fm, ens, [slice(0, n_paths)], 1, below,
+                                       cost, factors, probe_times, q):
+                i = step.i
+                moved[i] = step.moved[0]
+                coef[i, :, k] = step.coef[0, :, 0]
+                target_range[i, :, k] = step.target_range[0, :, 0]
+                n_empty += step.n_empty
+                if step.probe_se is not None:
+                    j = probe_times.index(i)
+                    probe[k, :, j] = step.tab[0, :, :q]
+                    probe_se[k, :, j] = step.probe_se
+            if not np.isfinite(probe[k]).all():
+                raise ValueError(f"level {k} values are not finite: the rewards must be finite")
+            below, k_final = moved, k
+            if k == 0:
+                continue
             step_up = probe[k] - probe[k - 1]
             probe_diff = np.abs(step_up)
             root_gap = float(np.max(probe_diff[:, 0, 0]))
@@ -754,7 +738,6 @@ def solve(
                     "min_probe_increment": float(np.min(step_up)),
                 }
             )
-            k_final = k
             if gap < GAP_TOL_SCALE * (1.0 + abs(probe[k, modes.initial - 1, 0, 0])):
                 converged = True
                 break
@@ -900,13 +883,14 @@ def certify(
     Switches at one instant are resolved in rounds, one decision per mode
     per round, so that same-instant chains compose.  A decision is a
     function of its row, so each path keeps, per mode, the state and the
-    target of its last decision in that mode at the instant, and only
-    paths whose (mode, state) is new are decided: every path in the first
-    round, then only paths that switched into a mode with a state they
-    were not decided at there.  Each switch is charged from the surface's
-    per-step cost matrix ``switch_cost``, the same floats the training
-    pass and the decisions compared; the cost model is called only for
-    the horizon check.
+    target of its last decision in that mode at the instant, and a path
+    is decided only when its state differs from the one kept for its
+    current mode: every path in the first round, then only paths that
+    switched into a mode with a state they were not decided at there.
+    Every other path reuses its kept target.  Each switch is charged from
+    the surface's per-step cost matrix ``switch_cost``, the same floats
+    the training pass and the decisions compared; the cost model is
+    called only for the horizon check.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
@@ -938,17 +922,13 @@ def certify(
             return
         t = grid.times[i]
         seen.fill(np.nan)
-        # Paths whose state changed since their last decision: every path
-        # at the start of the instant, then the ones that switched.  Every
-        # other path was last told to stay in its mode.
-        pending = np.ones(n_paths, dtype=bool)
         for _ in range(modes.n_modes - 1):
             switched_any = False
             for b in np.unique(mode):
-                sel = np.flatnonzero(pending & (mode == b))
-                if sel.size == 0:
-                    continue
-                pending[sel] = False
+                # A path that has not switched since its last decision was
+                # decided in this mode at this state and told to stay, so
+                # its state is in ``seen`` and its target is 0.
+                sel = np.flatnonzero(mode == b)
                 xs = x[sel]
                 new = (seen[b - 1, sel] != xs).any(axis=1)
                 if new.any():
@@ -963,7 +943,6 @@ def certify(
                 rows = sel[hit]
                 cost_acc[rows] += surface.switch_cost[i, b - 1, targets[hit] - 1]
                 switch_count[rows] += 1
-                pending[rows] = True
                 _apply_switches(problem, t, x, mode, rows, targets[hit])
             if not switched_any:
                 break

@@ -290,6 +290,52 @@ def test_water_value_checks_bump_first(tmp_path, monkeypatch):
         assert not out.exists()
 
 
+def _solve_unreached(monkeypatch):
+    def unreached(*args, **kwargs):
+        raise AssertionError("nothing may be solved")
+
+    for name in ("solve", "water_value_curve", "reservoir_marginals"):
+        monkeypatch.setattr(cli, name, unreached)
+
+
+@pytest.mark.parametrize(
+    "command, family, solver, match",
+    [
+        ("water-value", "hydro", {"degree": 3}, "water-value takes its solver settings"),
+        ("hydro-demo", "hydro", {"quantization": 2}, "solver.quantization must be null"),
+        ("compare-oracle", "affine", {"quantization": 3}, "solver.quantization 3 differs"),
+    ],
+    ids=["water-value", "hydro-demo", "compare-oracle"],
+)
+def test_a_solver_setting_the_command_would_drop_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command, family, solver, match
+):
+    _solve_unreached(monkeypatch)
+    cfg = write_config(tmp_path, "cfg.json", {"family": family, "solver": solver})
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--seed", "3", "--out", str(out)]) == 2
+    assert match in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_settings_the_command_reads_are_accepted(tmp_path, monkeypatch):
+    # A default solver section for water-value, and compare-oracle's
+    # quantization equal to --branching, reach the solve.
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    for name in ("solve", "water_value_curve"):
+        monkeypatch.setattr(cli, name, reached)
+    for command, family, solver in (("water-value", "hydro", {"n_paths": 4000}),
+                                    ("compare-oracle", "affine", {"quantization": 2})):
+        cfg = write_config(tmp_path, "cfg.json", {"family": family, "solver": solver})
+        with pytest.raises(Reached):
+            run_cli([command, "--config", cfg, "--seed", "3", "--out", str(tmp_path / "out")])
+
+
 def test_hydro_demo_cli(tmp_path):
     cfg = write_config(tmp_path, "hydro.json", {"family": "hydro", "params": {"n_steps": 16}})
     out = tmp_path / "demo"

@@ -76,6 +76,18 @@ def test_spec_refuses_nan(name):
         dataclasses.replace(flat_spec(), **{name: float("nan")})
 
 
+def test_spec_checks_its_initial_segment_against_dim():
+    # The default segment is a single zero, so a 2-d spec must bring its own.
+    coeffs = dict(drift=lambda t, x, y, mode: np.zeros_like(x),
+                  diffusion=lambda t, x, y, mode: np.zeros_like(x)[..., None])
+    with pytest.raises(ValueError, match="initial_segment"):
+        SddeSpec(dim=2, **coeffs)
+    with pytest.raises(ValueError, match="initial_segment"):
+        SddeSpec(dim=1, initial_segment=lambda s: np.zeros(2), **coeffs)
+    assert SddeSpec(dim=1, **coeffs).initial_state().shape == (1,)
+    assert flat_spec(dim=2).initial_state().shape == (2,)
+
+
 def test_mark_distribution_validation():
     MarkDistribution(atoms=np.array([[0.5], [1.0]]), weights=np.array([0.25, 0.75]))
     with pytest.raises(ValueError):

@@ -177,6 +177,8 @@ def test_the_main_pass_factorizes_each_design_once(monkeypatch):
 # pass reused each design's factor across levels, and again once every
 # value product became row-exact: each time the coefficients moved at
 # round-off, and hydro's exactly tied switch chains broke differently.
+# The probe tables (values, then standard errors) and the diagnostics JSON,
+# whose ``gap_by_k`` reads the probe standard errors, have their own digests.
 PINNED = {
     "hydro": dict(
         y0=2.983783819612753, y0_se=0.03431010765284233, lower_bound=1.1177012161567832,
@@ -184,11 +186,15 @@ PINNED = {
         histogram={6: 2, 7: 3, 8: 22, 9: 29, 10: 41, 11: 23, 12: 4, 13: 1, 14: 18, 15: 74,
                    16: 323, 17: 325, 18: 97, 19: 31, 20: 7},
         csv_sha256="93ee8a40a20c969ee76a088cdba094d3304f2747151118887486d9177b04732f",
+        probe_sha256="c82abbf0a4f4b89aeea832b20d720a47f6aa36c224d8183934ca7475ba9066ea",
+        diagnostics_sha256="80581584ac29d2e267309328665efe7ccd0ed85a63a3bdd69b8fa56112dcc88b",
     ),
     "flow": dict(
         y0=0.7, y0_se=7.799805020102231e-17, lower_bound=0.6999999999999998,
         k_levels=2, converged=True, histogram={1: 2000},
         csv_sha256="02847d506a73c6c8e415f933a8c32093cf2c161b6569a9f662930f6ca607fea0",
+        probe_sha256="a9b499cf36c8d12dbc8a9c035df12deac0c32cfcb6ab7be24e47237202ce6fc7",
+        diagnostics_sha256="1d389eb0d7d1a64e7194a73613244b9795091854e7fc05664f13f39afe5a73fe",
     ),
 }
 
@@ -215,31 +221,31 @@ def test_pinned_solve_and_certify(name):
     assert surf.diagnostics.converged == pin["converged"]
     assert report.switch_histogram == pin["histogram"]
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == pin["csv_sha256"]
+    diag = surf.diagnostics
+    probes = diag.probe_values.tobytes() + diag.probe_se.tobytes()
+    assert hashlib.sha256(probes).hexdigest() == pin["probe_sha256"]
+    diag_json = diagnostics_to_json(diag).encode()
+    assert hashlib.sha256(diag_json).hexdigest() == pin["diagnostics_sha256"]
 
 
 def _grouped_and_per_block_passes(problem, grid, fm, n_paths, seed, quantization, levels):
     """Step records of the grouped standard-error pass and of the per-block loop it replaced."""
-    pre, post, mode_of_step, _ = _randomized_ensemble(
-        problem, grid, n_paths, seed, quantization, 0.15
-    )
+    pre, post, mode_of_step, _ = _randomized_ensemble(problem, grid, n_paths, seed, quantization)
     n = grid.n_steps
     g_pre = np.asarray(problem.reward.terminal(pre[:, n]), dtype=float)
     cost = np.stack([_switch_costs(problem, t) for t in grid.times[:n]])
     edges = np.linspace(0, n_paths, SE_BLOCKS + 1).astype(int)
     blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    grouped = []
     ens = (pre, post, mode_of_step, g_pre)
-    _backward_pass(problem, grid, fm, ens, blocks, levels, None, cost, grouped.append)
+    grouped = list(_backward_pass(problem, grid, fm, ens, blocks, levels, None, cost))
     # The reference copies each block's rows and runs one pass per block,
     # as solve did before the blocks became groups.
     per_block = []
     for blk in blocks:
         rows = np.arange(blk.start, blk.stop)
-        steps = []
         ens_blk = (pre[rows], post[rows], mode_of_step[rows], g_pre[rows])
-        _backward_pass(problem, grid, fm, ens_blk, [slice(0, rows.size)], levels, None, cost,
-                       steps.append)
-        per_block.append(steps)
+        per_block.append(list(_backward_pass(problem, grid, fm, ens_blk, [slice(0, rows.size)],
+                                             levels, None, cost)))
     return blocks, grouped, per_block
 
 
@@ -278,7 +284,7 @@ def test_level_values_builds_each_distinct_design_once(name, monkeypatch):
     else:
         problem, grid = delay_instance()
         fm, extra = FeatureMap(), 0
-    pre, post, _, _ = _randomized_ensemble(problem, grid, 200, 1, None, 0.15)
+    pre, post, _, _ = _randomized_ensemble(problem, grid, 200, 1, None)
     i = 3
     x, yv = pre[:, i], _lookback(post, problem.dynamics.presegment(grid), i)
     A = fm.design(x, yv)
@@ -765,7 +771,7 @@ def test_policy_values_equal_the_full_table_formula(name, monkeypatch):
         warnings.simplefilter("ignore", RuntimeWarning)
         surf = solve(problem, grid, feature_map=fm, n_paths=300, seed=3)
     policy = extract_policy(surf)
-    pre, post, _, d = _randomized_ensemble(problem, grid, 300, 11, None, 0.15)
+    pre, post, _, d = _randomized_ensemble(problem, grid, 300, 11, None)
     pres = problem.dynamics.presegment(grid)
     seen = {}
 
@@ -807,7 +813,7 @@ def test_a_decision_depends_only_on_its_row():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         policy = extract_policy(solve(problem, grid, **kwargs))
-    pre, post, _, _ = _randomized_ensemble(problem, grid, 400, 11, None, 0.15)
+    pre, post, _, _ = _randomized_ensemble(problem, grid, 400, 11, None)
     pres = problem.dynamics.presegment(grid)
     mismatches = switched = 0
     for i in range(grid.n_steps):
@@ -827,7 +833,7 @@ def test_a_decision_depends_only_on_its_row():
 def test_level_values_of_a_row_do_not_depend_on_the_batch(cross_terms):
     problem, grid = build_hydro_problem(HydroParams(n_steps=8))
     fm = FeatureMap(cross_terms=cross_terms)
-    pre, post, _, _ = _randomized_ensemble(problem, grid, 300, 1, None, 0.15)
+    pre, post, _, _ = _randomized_ensemble(problem, grid, 300, 1, None)
     i = 3
     x, yv = pre[:, i], _lookback(post, problem.dynamics.presegment(grid), i)
     m, p, levels = problem.modes.n_modes, fm.n_features(problem.dynamics.dim, True), 3
@@ -917,7 +923,7 @@ def test_ensemble_resets_each_explored_path_once():
     problem, grid = pure_cost_problem(n_modes=3)
     shifting = JumpMapFamily(apply=lambda bf, bt, t, x: x + float(bt), target_only=True)
     problem = dataclasses.replace(problem, jump_maps=shifting)
-    _, post, mode_of_step, _ = _randomized_ensemble(problem, grid, 300, 3, None, 0.15)
+    _, post, mode_of_step, _ = _randomized_ensemble(problem, grid, 300, 3, None)
     start = mode_of_step[:, 0]
     assert set(start) == {1, 2, 3}
     assert np.array_equal(post[:, 0, 0], np.where(start == 1, 0.0, start))
