@@ -64,6 +64,15 @@ def _ensure_out(directory: str) -> str:
     return directory
 
 
+def _load_uncontrolled(path: str, command: str):
+    """The config at ``path``; a ``control`` section, which ``command`` would ignore, is an error."""
+    cfg = load_config(path)
+    if cfg.control is not None:
+        raise ConfigError(f"{command} runs no fixed control; only validate and simulate read "
+                          "the config's control section")
+    return cfg
+
+
 def _probe_states(problem, grid, seed: int) -> np.ndarray:
     """About 256 of the states visited by 16 uncontrolled paths, used as check probes."""
     states, _ = _simulate_control(problem, grid, SwitchingControl.empty(), 16, seed)
@@ -175,7 +184,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_uncontrolled(args.config, "solve")
     problem, grid = cfg.build_problem()
     surface, n_paths = _solve(problem, grid, cfg.solver, args, cfg.solver.quantization)
     out = _ensure_out(args.out)
@@ -204,7 +213,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare_oracle(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_uncontrolled(args.config, "compare-oracle")
     if cfg.solver.quantization not in (None, args.branching):
         raise ConfigError(
             f"compare-oracle solves on the --branching {args.branching} lattice; "
@@ -244,7 +253,7 @@ def cmd_hydro_demo(args) -> int:
     if args.certify_paths < 2:
         raise ValueError("--certify-paths must be at least 2")
     if args.config:
-        cfg = load_config(args.config)
+        cfg = _load_uncontrolled(args.config, "hydro-demo")
         if cfg.solver.quantization is not None:
             raise ConfigError("hydro-demo solves and certifies on Gaussian noise; "
                               "solver.quantization must be null")
@@ -303,7 +312,7 @@ def cmd_water_value(args) -> int:
     if not args.bump > 0.0:
         raise ValueError("--bump must be strictly positive")
     if args.config:
-        cfg = load_config(args.config)
+        cfg = _load_uncontrolled(args.config, "water-value")
         if cfg.solver != SolverSettings():
             raise ConfigError("water-value takes its solver settings from --paths and --k-max; "
                               "the config's solver section must be absent or default")

@@ -22,6 +22,9 @@ from .sdde import OffGridError, SddeSpec, TimeGrid, _mean_se, sample_noise_batch
 
 # Random chains drawn per chain length by validate_cycle_reduction.
 REDUCTION_CHAINS = 25
+# (cycle, time assignment) totals validate_no_free_loop holds at once:
+# 64 KiB per temporary, so the check adds next to nothing to peak memory.
+_LOOP_CELLS = 1 << 13
 
 __all__ = [
     "ModeSet",
@@ -142,8 +145,13 @@ class JumpMapFamily:
         return cls(apply=lambda bf, bt, t, x: x, target_only=True)
 
     def reset(self, b_from: int, b_to: int, t: float, x: np.ndarray) -> np.ndarray:
-        """``apply`` on the batch ``x`` as a float array of ``x``'s shape."""
-        return np.broadcast_to(np.asarray(self.apply(b_from, b_to, t, x), dtype=float), x.shape)
+        """``apply`` on the batch ``x`` as a read-only float array of ``x``'s shape."""
+        out = np.asarray(self.apply(b_from, b_to, t, x), dtype=float)
+        if out.shape != x.shape:
+            return np.broadcast_to(out, x.shape)
+        out = out.view()
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
@@ -240,20 +248,30 @@ def validate_no_free_loop(
     ts = sorted(set(float(t) for t in time_samples))
     if not ts:
         raise ValueError("need at least one time sample")
-    table = {
-        (bf, bt, t): costs(bf, bt, t)
-        for bf in mode_set.labels
-        for bt in mode_set.others(bf)
-        for t in ts
-    }
+    n_modes = mode_set.n_modes
+    table = np.zeros((n_modes, n_modes, len(ts)))
+    for bf in mode_set.labels:
+        for bt in mode_set.others(bf):
+            for i, t in enumerate(ts):
+                table[bf - 1, bt - 1, i] = costs(bf, bt, t)
+    # Per cycle length, every (cycle, assignment) total at once, in blocks of
+    # cycles.  Legs are added in order, as a sequential sum would, and
+    # argmin takes the first minimum in (cycle, assignment) order.
     best = None
-    for length in range(2, mode_set.n_modes + 1):
-        for cycle in itertools.permutations(mode_set.labels, length):
-            legs = [(cycle[i], cycle[(i + 1) % length]) for i in range(length)]
-            for assignment in itertools.combinations_with_replacement(ts, length):
-                total = sum(table[bf, bt, t] for (bf, bt), t in zip(legs, assignment))
-                if best is None or total < best[0]:
-                    best = (total, cycle, assignment)
+    for length in range(2, n_modes + 1):
+        assignments = list(itertools.combinations_with_replacement(range(len(ts)), length))
+        when = np.array(assignments).T
+        cycles = itertools.permutations(range(n_modes), length)
+        while block := list(itertools.islice(cycles, max(1, _LOOP_CELLS // len(assignments)))):
+            src = np.array(block).T
+            dst = np.roll(src, -1, axis=0)
+            totals = np.zeros((len(block), len(assignments)))
+            for leg in range(length):
+                totals += table[src[leg, :, None], dst[leg, :, None], when[leg]]
+            c, a = divmod(int(np.argmin(totals)), len(assignments))
+            if best is None or totals[c, a] < best[0]:
+                cycle = tuple(b + 1 for b in block[c])
+                best = (float(totals[c, a]), cycle, tuple(ts[i] for i in assignments[a]))
     total, cycle, assignment = best
     ok = total >= costs.loop_floor - 1e-12
     detail = f"minimum cycle cost {total} over floor {costs.loop_floor}"

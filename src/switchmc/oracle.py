@@ -14,6 +14,12 @@ budget, recent state window) that replays the Euler transition of the
 simulation module along tree edges.  ``enumerate_controls`` evaluates the
 same instance by exhaustive recursion over every adapted control with no
 value memoization, as an independent cross-check.
+
+Within one call of either solver nothing is computed twice: each node's
+children come from one batched Euler step per (level, window, mode), and
+each reward, reset and cost is evaluated once per distinct argument.
+These caches belong to the call, share nothing with any other call and
+are freed when it returns or raises.
 """
 
 from __future__ import annotations
@@ -46,7 +52,8 @@ class OracleInstance:
     """A problem bound to a scenario lattice.
 
     ``edge_dw[i]`` and ``edge_mark[i]`` label the edge from the parent of
-    node i (mark -1 means no jump).  ``windows[i]`` is the recent-state
+    node i (mark -1 means no jump); every node's children carry the same
+    labels in the same order.  ``windows[i]`` is the recent-state
     window at node i when the initial mode is held throughout (the
     canonical build); the solvers replay windows for other mode
     histories.
@@ -61,42 +68,93 @@ class OracleInstance:
 
 
 class _EdgeStepper:
-    """Replays Euler transitions along tree edges with a transition cache."""
+    """Steps a state window along every edge of a lattice node at once.
 
-    def __init__(self, problem: SwitchingProblem, grid: TimeGrid):
+    The lattice gives every node the same edges, (dw, mark) in the same
+    order, so one ``euler_increment`` call over a batch of one row per
+    edge yields all of a node's child windows.  Rows are independent in
+    the Euler step, so each child equals the one-row step along its edge.
+    The children are cached on (level, window, mode); a stepper serves one
+    call and its cache dies with it.
+    """
+
+    def __init__(self, problem: SwitchingProblem, grid: TimeGrid, edge_dw, edge_mark):
         self.spec = problem.dynamics
         self.grid = grid
+        self.dw = np.array(edge_dw, dtype=float).reshape(-1, 1)
+        self.counts = np.zeros((len(self.dw), self.spec.n_marks))
+        for row, mark in enumerate(edge_mark):
+            if mark >= 0:
+                self.counts[row, mark] = 1.0
         self.cache = {}
 
-    def step(self, level: int, window: tuple, mode: int, dw: float, mark: int) -> tuple:
-        key = (level, window, mode, dw, mark)
+    @classmethod
+    def of(cls, instance: "OracleInstance") -> "_EdgeStepper":
+        """A stepper over the edges of ``instance``, read off its root."""
+        kids = instance.tree.children[0]
+        return cls(instance.problem, instance.grid, instance.edge_dw[kids], instance.edge_mark[kids])
+
+    def children(self, level: int, window: tuple, mode: int) -> list:
+        """The child windows of a node at ``level`` holding ``window`` in ``mode``, in edge order."""
+        key = (level, window, mode)
         hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        spec = self.spec
-        t = self.grid.times[level]
-        x = np.array([window[-1]])
-        y = np.array([window[0]])
-        counts = np.zeros((1, spec.n_marks))
-        if mark >= 0:
-            counts[0, mark] = 1.0
-        dx = euler_increment(spec, self.grid.step, t, x, y, mode, np.array([[dw]]), counts)
-        out = tuple((x + dx)[0])
-        self.cache[key] = out
-        return out
+        if hit is None:
+            n = len(self.dw)
+            x = np.array([window[-1]] * n)
+            y = np.array([window[0]] * n)
+            dx = euler_increment(self.spec, self.grid.step, self.grid.times[level], x, y, mode,
+                                 self.dw, self.counts)
+            tail = window[1:]
+            hit = [tail + (tuple(row),) for row in (x + dx).tolist()]
+            self.cache[key] = hit
+        return hit
 
 
-def _scalar_running(problem, t, state: tuple, mode: int) -> float:
-    return float(np.asarray(problem.reward.running(t, np.array([state]), mode), dtype=float).reshape(-1)[0])
+class _ModelCalls:
+    """The problem's rewards, resets and costs on single states, each evaluated once per key.
 
+    ``terminal`` is keyed by state, ``running`` by (level, state, mode),
+    ``reset`` by (b, b2, level, state) and ``cost`` by (b, b2, level).
+    One instance serves one oracle call and its caches die with it.
+    """
 
-def _scalar_terminal(problem, state: tuple) -> float:
-    return float(np.asarray(problem.reward.terminal(np.array([state])), dtype=float).reshape(-1)[0])
+    def __init__(self, problem: SwitchingProblem, grid: TimeGrid):
+        self.problem = problem
+        self.times = grid.times
+        self._terminal = {}
+        self._running = {}
+        self._reset = {}
+        self._cost = {}
 
+    def terminal(self, state: tuple) -> float:
+        v = self._terminal.get(state)
+        if v is None:
+            out = self.problem.reward.terminal(np.array([state]))
+            v = self._terminal[state] = float(np.asarray(out, dtype=float).reshape(-1)[0])
+        return v
 
-def _scalar_jump_map(problem, b_from: int, b_to: int, t: float, state: tuple) -> tuple:
-    x = np.array([state])
-    return tuple(problem.jump_maps.reset(b_from, b_to, t, x)[0])
+    def running(self, level: int, state: tuple, mode: int) -> float:
+        key = (level, state, mode)
+        v = self._running.get(key)
+        if v is None:
+            out = self.problem.reward.running(self.times[level], np.array([state]), mode)
+            v = self._running[key] = float(np.asarray(out, dtype=float).reshape(-1)[0])
+        return v
+
+    def reset(self, b: int, b2: int, level: int, state: tuple) -> tuple:
+        key = (b, b2, level, state)
+        v = self._reset.get(key)
+        if v is None:
+            out = self.problem.jump_maps.reset(b, b2, self.times[level], np.array([state]))
+            v = self._reset[key] = tuple(out[0].tolist())
+        return v
+
+    def cost(self, b: int, b2: int, level: int) -> float:
+        key = (b, b2, level)
+        v = self._cost.get(key)
+        if v is None:
+            v = self._cost[key] = self.problem.costs(b, b2, self.times[level])
+        return v
 
 
 def build_lattice(
@@ -124,7 +182,7 @@ def build_lattice(
 
     pres = tuple(tuple(row) for row in spec.presegment(grid))
     root_window = pres + (tuple(spec.initial_state()),)
-    stepper = _EdgeStepper(problem, grid)
+    stepper = _EdgeStepper(problem, grid, [e[0] for e in edges], [e[1] for e in edges])
     b0 = problem.modes.initial
 
     parents = [-1]
@@ -137,16 +195,14 @@ def build_lattice(
     for level in range(levels):
         nxt = []
         for node in frontier:
-            w = windows[node]
-            for dv, mk, pr in edges:
-                child_state = stepper.step(level, w, b0, dv, mk)
+            for (dv, mk, pr), child_window in zip(edges, stepper.children(level, windows[node], b0)):
                 idx = len(parents)
                 parents.append(node)
                 eprobs.append(pr)
                 node_levels.append(level + 1)
                 edge_dw.append(dv)
                 edge_mark.append(mk)
-                windows.append((w + (child_state,))[1:])
+                windows.append(child_window)
                 nxt.append(idx)
         frontier = nxt
     states = np.array([w[-1] for w in windows])
@@ -207,11 +263,14 @@ def exact_dp(instance: OracleInstance, k_max: int, with_table: bool = True) -> O
     """
     problem = instance.problem
     reject_history_reward(problem, "the exact oracle")
-    tree = instance.tree
-    grid = instance.grid
-    dt = grid.step
+    children = instance.tree.children
+    levels = instance.tree.levels.tolist()
+    probs = instance.tree.probs.tolist()
+    dt = instance.grid.step
     labels = list(problem.modes.labels)
-    stepper = _EdgeStepper(problem, grid)
+    others = {b: problem.modes.others(b) for b in labels}
+    model = _ModelCalls(problem, instance.grid)
+    stepper = _EdgeStepper.of(instance)
     memo = {}
 
     def value(node: int, b: int, k: int, window: tuple) -> float:
@@ -219,21 +278,18 @@ def exact_dp(instance: OracleInstance, k_max: int, with_table: bool = True) -> O
         hit = memo.get(key)
         if hit is not None:
             return hit
-        kids = tree.children[node]
+        kids = children[node]
         if not kids:
-            v = _scalar_terminal(problem, window[-1])
+            v = model.terminal(window[-1])
         else:
-            level = int(tree.levels[node])
-            t = grid.times[level]
-            x = window[-1]
-            v = _scalar_running(problem, t, x, b) * dt
-            for child in kids:
-                cw = stepper.step(level, window, b, float(instance.edge_dw[child]), int(instance.edge_mark[child]))
-                v += float(tree.probs[child]) * value(child, b, k, (window + (cw,))[1:])
+            level = levels[node]
+            v = model.running(level, window[-1], b) * dt
+            for child, child_window in zip(kids, stepper.children(level, window, b)):
+                v += probs[child] * value(child, b, k, child_window)
             if k > 0:
-                for b2 in problem.modes.others(b):
-                    x2 = _scalar_jump_map(problem, b, b2, t, x)
-                    alt = -problem.costs(b, b2, t) + value(node, b2, k - 1, window[:-1] + (x2,))
+                for b2 in others[b]:
+                    x2 = model.reset(b, b2, level, window[-1])
+                    alt = -model.cost(b, b2, level) + value(node, b2, k - 1, window[:-1] + (x2,))
                     if alt > v:
                         v = alt
         memo[key] = v
@@ -241,15 +297,18 @@ def exact_dp(instance: OracleInstance, k_max: int, with_table: bool = True) -> O
 
     root = np.empty((k_max + 1, len(labels)))
     table = {}
-    with _recursion_room(grid, len(labels), k_max):
-        for k in range(k_max + 1):
-            for b in labels:
-                root[k, b - 1] = value(0, b, k, instance.windows[0])
-        if with_table:
-            for node in range(tree.n_nodes):
+    try:
+        with _recursion_room(instance.grid, len(labels), k_max):
+            for k in range(k_max + 1):
                 for b in labels:
-                    for k in range(k_max + 1):
-                        table[(node, b, k)] = value(node, b, k, instance.windows[node])
+                    root[k, b - 1] = value(0, b, k, instance.windows[0])
+            if with_table:
+                for node in range(instance.tree.n_nodes):
+                    for b in labels:
+                        for k in range(k_max + 1):
+                            table[(node, b, k)] = value(node, b, k, instance.windows[node])
+    finally:
+        del value  # the recursion refers to itself; unbinding it frees the caches now
     return OracleValues(root=root, table=table)
 
 
@@ -271,48 +330,50 @@ def enumerate_controls(instance: OracleInstance, k_max: int) -> EnumerationResul
     """
     problem = instance.problem
     reject_history_reward(problem, "the exact oracle")
-    tree = instance.tree
-    grid = instance.grid
-    dt = grid.step
-    stepper = _EdgeStepper(problem, grid)
+    children = instance.tree.children
+    levels = instance.tree.levels.tolist()
+    probs = instance.tree.probs.tolist()
+    dt = instance.grid.step
+    model = _ModelCalls(problem, instance.grid)
+    stepper = _EdgeStepper.of(instance)
     counter = [0]
 
-    def instant_options(t: float, b: int, k: int, window: tuple):
+    def instant_options(level: int, b: int, k: int, window: tuple) -> list:
+        """Every switch chain of at most k switches from b, depth first: (chain, cost, mode, window)."""
         options = []
-
-        def extend(chain, cost, cur, win):
-            options.append((chain, cost, cur, win))
-            if len(chain) == k:
-                return
-            for b2 in problem.modes.others(cur):
-                w2 = win[:-1] + (_scalar_jump_map(problem, cur, b2, t, win[-1]),)
-                extend(chain + (b2,), cost + problem.costs(cur, b2, t), b2, w2)
-
-        extend((), 0.0, b, window)
+        stack = [((), 0.0, b, window)]
+        while stack:
+            chain, cost, cur, win = option = stack.pop()
+            options.append(option)
+            if len(chain) < k:
+                for b2 in reversed(problem.modes.others(cur)):
+                    w2 = win[:-1] + (model.reset(cur, b2, level, win[-1]),)
+                    stack.append((chain + (b2,), cost + model.cost(cur, b2, level), b2, w2))
         return options
 
     def explore(node: int, b: int, k: int, window: tuple):
         counter[0] += 1
         if counter[0] > MAX_CONTEXTS:
             raise RuntimeError(f"enumeration exceeded {MAX_CONTEXTS} contexts")
-        kids = tree.children[node]
+        kids = children[node]
         if not kids:
-            return _scalar_terminal(problem, window[-1]), ()
-        level = int(tree.levels[node])
-        t = grid.times[level]
+            return model.terminal(window[-1]), ()
+        level = levels[node]
         best = None
         best_chain = ()
-        for chain, cost, b2, win2 in instant_options(t, b, k, window):
-            total = _scalar_running(problem, t, win2[-1], b2) * dt - cost
-            for child in kids:
-                cw = stepper.step(level, win2, b2, float(instance.edge_dw[child]), int(instance.edge_mark[child]))
-                v_child, _ = explore(child, b2, k - len(chain), (win2 + (cw,))[1:])
-                total += float(tree.probs[child]) * v_child
+        for chain, cost, b2, win2 in instant_options(level, b, k, window):
+            total = model.running(level, win2[-1], b2) * dt - cost
+            for child, child_window in zip(kids, stepper.children(level, win2, b2)):
+                v_child, _ = explore(child, b2, k - len(chain), child_window)
+                total += probs[child] * v_child
             if best is None or total > best:
                 best = total
                 best_chain = chain
         return best, best_chain
 
-    with _recursion_room(grid, problem.modes.n_modes, k_max):
-        value, chain = explore(0, problem.modes.initial, k_max, instance.windows[0])
+    try:
+        with _recursion_room(instance.grid, problem.modes.n_modes, k_max):
+            value, chain = explore(0, problem.modes.initial, k_max, instance.windows[0])
+    finally:
+        del explore  # the recursion refers to itself; unbinding it frees the caches now
     return EnumerationResult(value=float(value), root_chain=chain, contexts=counter[0])

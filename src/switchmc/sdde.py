@@ -400,7 +400,7 @@ def sample_noise_batch(spec: SddeSpec, grid: TimeGrid, seed: int, n_paths: int, 
 
 def _as_batch(value, shape):
     out = np.asarray(value, dtype=float)
-    return np.broadcast_to(out, shape)
+    return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
 def euler_increment(

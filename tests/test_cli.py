@@ -318,6 +318,28 @@ def test_a_solver_setting_the_command_would_drop_is_a_config_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, family",
+    [
+        ("solve", "two_mode_deterministic"),
+        ("compare-oracle", "affine"),
+        ("hydro-demo", "hydro"),
+        ("water-value", "hydro"),
+    ],
+)
+def test_a_control_section_the_command_would_ignore_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command, family
+):
+    _solve_unreached(monkeypatch)
+    monkeypatch.setattr(cli, "build_lattice", lambda *a, **k: pytest.fail("no lattice may be built"))
+    control = {"times": [0.0], "modes": [2]}
+    cfg = write_config(tmp_path, "cfg.json", {"family": family, "control": control})
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--seed", "3", "--out", str(out)]) == 2
+    assert f"{command} runs no fixed control" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_settings_the_command_reads_are_accepted(tmp_path, monkeypatch):
     # A default solver section for water-value, and compare-oracle's
     # quantization equal to --branching, reach the solve.

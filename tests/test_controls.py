@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import NAN_REWARD_CASES, nan_reward_flow
+from switchmc import controls
 from switchmc.controls import (
     JumpMapFamily,
     ModeSet,
@@ -104,6 +105,44 @@ def test_no_free_loop_detects_cheap_cycle():
     assert set(rep2.witness[0]) == {1, 2}
 
 
+def _loop_report_by_enumeration(model, modes, ts):
+    """The enumeration that reads every leg's cost through the model anew, summing legs in order."""
+    best = None
+    for length in range(2, modes.n_modes + 1):
+        for cycle in itertools.permutations(modes.labels, length):
+            legs = [(cycle[i], cycle[(i + 1) % length]) for i in range(length)]
+            for assignment in itertools.combinations_with_replacement(sorted(set(ts)), length):
+                total = sum(model(bf, bt, t) for (bf, bt), t in zip(legs, assignment))
+                if best is None or total < best[0]:
+                    best = (total, cycle, assignment)
+    return ValidationReport(
+        ok=best[0] >= model.loop_floor - 1e-12,
+        detail=f"minimum cycle cost {best[0]} over floor {model.loop_floor}",
+        witness=(best[1], best[2]),
+        margin=best[0],
+    )
+
+
+@pytest.mark.parametrize("cells", [None, 5], ids=["one-block", "small-blocks"])
+def test_no_free_loop_equals_the_enumeration_on_tables_with_ties(monkeypatch, cells):
+    # Costs on a coarse grid tie often, so the witness must be the first
+    # minimum in (length, cycle, assignment) order, as the enumeration
+    # finds it, also when the cycles are summed in several blocks.
+    if cells is not None:
+        monkeypatch.setattr(controls, "_LOOP_CELLS", cells)
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        n_modes = int(rng.integers(2, 6))
+        table = 0.1 * rng.integers(0, 4, size=(n_modes, n_modes, 3))
+        ts = sorted(rng.choice([0.0, 0.5, 1.0], size=int(rng.integers(1, 4)), replace=False).tolist())
+        model = SwitchingCostModel(
+            cost=lambda bf, bt, t, table=table: table[bf - 1, bt - 1, int(2 * t)], loop_floor=0.2
+        )
+        rep = validate_no_free_loop(model, ModeSet(n_modes), ts)
+        assert rep == _loop_report_by_enumeration(model, ModeSet(n_modes), ts)
+        assert type(rep.margin) is float
+
+
 def test_no_free_loop_reads_each_cost_once():
     rng = np.random.default_rng(4)
     table = rng.uniform(0.1, 0.5, size=(4, 4))
@@ -118,21 +157,7 @@ def test_no_free_loop_reads_each_cost_once():
     ts = [0.0, 0.4, 1.0]
     rep = validate_no_free_loop(model, modes, ts)
     assert len(calls) <= 4 * 3 * len(ts)
-    # The enumeration that reads every leg's cost through the model anew.
-    best = None
-    for length in range(2, 5):
-        for cycle in itertools.permutations(modes.labels, length):
-            legs = [(cycle[i], cycle[(i + 1) % length]) for i in range(length)]
-            for assignment in itertools.combinations_with_replacement(ts, length):
-                total = sum(model(bf, bt, t) for (bf, bt), t in zip(legs, assignment))
-                if best is None or total < best[0]:
-                    best = (total, cycle, assignment)
-    assert rep == ValidationReport(
-        ok=best[0] >= 0.25 - 1e-12,
-        detail=f"minimum cycle cost {best[0]} over floor 0.25",
-        witness=(best[1], best[2]),
-        margin=best[0],
-    )
+    assert rep == _loop_report_by_enumeration(model, modes, ts)
     negative = SwitchingCostModel(cost=lambda bf, bt, t: -0.1 if bt == 4 else 0.2, loop_floor=0.2)
     with pytest.raises(ValueError, match="negative switch cost"):
         validate_no_free_loop(negative, modes, ts)
@@ -250,3 +275,14 @@ def test_history_reward_plugin():
         problem, grid, SwitchingControl(times=(0.25, 0.5), modes=(2, 3)), n_paths=16, seed=1
     )
     assert est == pytest.approx(2.0 - 0.4, abs=1e-12)
+
+
+def test_reset_returns_a_read_only_float_batch_of_the_states_shape():
+    x = np.array([[1.0, 2.0], [3.0, 4.0]])
+    for apply in (lambda bf, bt, t, x: x, lambda bf, bt, t, x: np.array([5, 6]),
+                  lambda bf, bt, t, x: x.astype(np.int64)):
+        out = JumpMapFamily(apply=apply).reset(1, 2, 0.0, x)
+        assert out.shape == x.shape and out.dtype == float
+        assert not out.flags.writeable
+    assert x.flags.writeable
+    assert np.array_equal(JumpMapFamily.identity().reset(1, 2, 0.0, x), x)

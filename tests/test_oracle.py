@@ -1,11 +1,13 @@
 """Exact lattice oracle: node counts, backward induction, exhaustive enumeration."""
 
 import dataclasses
+import gc
 import sys
 
 import numpy as np
 import pytest
 
+from conftest import delay_instance, jumps_instance
 from switchmc.families import (
     pure_cost_problem,
     random_tree_problem,
@@ -13,7 +15,7 @@ from switchmc.families import (
 )
 from switchmc import oracle
 from switchmc.oracle import build_lattice, enumerate_controls, exact_dp
-from switchmc.sdde import sample_noise, sample_noise_batch
+from switchmc.sdde import euler_increment, sample_noise, sample_noise_batch
 from switchmc.solver import solve
 
 
@@ -170,3 +172,143 @@ def test_oracle_restores_the_recursion_limit(monkeypatch):
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(before)
+
+
+# ``float.hex`` of exact_dp's root[k, b - 1] at k_max 4 and of the
+# enumerated value, recorded before the oracle cached its model calls and
+# batched its Euler steps: two acceptance instances (criterion 1's
+# m2_delay and m3_jumps) and the packaged affine ones, whose drift
+# depends on the mode.
+ORACLE_PINS = {
+    "m2_delay": (
+        lambda: random_tree_problem(seed=102, n_modes=2, levels=5, delay_steps=2),
+        [["0x1.f4c0389a59373p-1", "0x1.003e6014f2209p+0"]] * 5,
+        "0x1.f4c0389a59373p-1",
+    ),
+    "m3_jumps": (
+        lambda: random_tree_problem(seed=106, n_modes=3, levels=3, with_jumps=True),
+        [["-0x1.8369bef32b033p-4", "-0x1.15a0e5e7d1991p+0", "-0x1.62d3f4557b04ap-1"]]
+        + [["-0x1.8369bef32b033p-4", "-0x1.f8404efffe7dep-3", "-0x1.7e705fa7331a8p-3"]] * 4,
+        "-0x1.8369bef32b033p-4",
+    ),
+    "affine_delay": (
+        lambda: delay_instance(n_steps=5),
+        [["0x1.bbb83cf2cf95ep-3", "0x1.ec56d5cfaacdcp-3"]]
+        + [["0x1.c67c710e130ecp-3", "0x1.ffba4a8d75c58p-3"]] * 4,
+        "0x1.c67c710e130ecp-3",
+    ),
+    "affine_jumps": (
+        lambda: jumps_instance(n_steps=4),
+        [["0x1.1851eb851eb85p-2", "0x1.e28f5c28f5c29p-3"]]
+        + [["0x1.1af851eb851ecp-2", "0x1.e28f5c28f5c29p-3"]] * 4,
+        "0x1.1af851eb851ecp-2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_PINS))
+def test_oracle_values_match_their_pins(name):
+    build, roots, enumerated = ORACLE_PINS[name]
+    inst = build_lattice(*build(), branching=2)
+    assert [[v.hex() for v in row] for row in exact_dp(inst, k_max=4).root.tolist()] == roots
+    assert enumerate_controls(inst, k_max=4).value.hex() == enumerated
+
+
+def _counting(problem):
+    """``problem`` with every reward, reset and cost call logged by its argument."""
+    calls = {"terminal": [], "running": [], "reset": [], "cost": []}
+    reward, jumps, costs = problem.reward, problem.jump_maps, problem.costs
+
+    def terminal(x):
+        calls["terminal"].append(tuple(x[0]))
+        return reward.terminal(x)
+
+    def running(t, x, mode):
+        calls["running"].append((t, tuple(x[0]), mode))
+        return reward.running(t, x, mode)
+
+    def apply(b, b2, t, x):
+        calls["reset"].append((b, b2, t, tuple(x[0])))
+        return jumps.apply(b, b2, t, x)
+
+    def cost(b, b2, t):
+        calls["cost"].append((b, b2, t))
+        return costs.cost(b, b2, t)
+
+    return dataclasses.replace(
+        problem,
+        reward=dataclasses.replace(reward, terminal=terminal, running=running),
+        jump_maps=dataclasses.replace(jumps, apply=apply),
+        costs=dataclasses.replace(costs, cost=cost),
+    ), calls
+
+
+def test_each_model_call_is_made_once_per_oracle_call():
+    problem, grid = delay_instance(n_steps=5)
+    counted, calls = _counting(problem)
+    inst = build_lattice(counted, grid, branching=2)
+    for run in (lambda: exact_dp(inst, k_max=3), lambda: enumerate_controls(inst, k_max=3)):
+        seen = {}
+        for _ in range(2):
+            for log in calls.values():
+                log.clear()
+            run()
+            for part, log in calls.items():
+                assert log, part
+                assert len(set(log)) == len(log), part
+                # A second call evaluates everything anew: no cache outlives a call.
+                assert seen.setdefault(part, sorted(log)) == sorted(log), part
+
+
+def test_oracle_calls_leave_no_garbage_cycles(monkeypatch):
+    problem, grid = random_tree_problem(seed=105, n_modes=3, levels=3, delay_steps=1)
+    inst = build_lattice(problem, grid, branching=2)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        exact_dp(inst, k_max=4, with_table=False)
+        assert gc.collect() == 0
+        exact_dp(inst, k_max=2)
+        assert gc.collect() == 0
+        enumerate_controls(inst, k_max=4)
+        assert gc.collect() == 0
+        monkeypatch.setattr(oracle, "MAX_CONTEXTS", 50)
+        try:
+            enumerate_controls(inst, k_max=4)
+        except RuntimeError:
+            pass
+        else:
+            pytest.fail("the enumeration should give up")
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("build", [delay_instance, jumps_instance], ids=["delay", "jumps"])
+def test_a_nodes_batched_children_equal_one_row_steps(build):
+    problem, grid = build(n_steps=3)
+    inst = build_lattice(problem, grid, branching=2)
+    spec = problem.dynamics
+    stepper = oracle._EdgeStepper.of(inst)
+    for node in range(inst.tree.n_nodes):
+        kids = inst.tree.children[node]
+        if not kids:
+            continue
+        window = inst.windows[node]
+        level = int(inst.tree.levels[node])
+        for mode in problem.modes.labels:
+            batched = stepper.children(level, window, mode)
+            assert len(batched) == len(kids)
+            for child, child_window in zip(kids, batched):
+                counts = np.zeros((1, spec.n_marks))
+                if inst.edge_mark[child] >= 0:
+                    counts[0, inst.edge_mark[child]] = 1.0
+                x, y = np.array([window[-1]]), np.array([window[0]])
+                dw = np.array([[inst.edge_dw[child]]])
+                one = x + euler_increment(spec, grid.step, grid.times[level], x, y, mode, dw, counts)
+                assert child_window[:-1] == window[1:]
+                assert [v.hex() for v in child_window[-1]] == [v.hex() for v in one[0].tolist()]
+                if mode == problem.modes.initial:
+                    assert child_window == inst.windows[child]
