@@ -15,16 +15,20 @@ simulation module along tree edges.  ``enumerate_controls`` evaluates the
 same instance by exhaustive recursion over every adapted control with no
 value memoization, as an independent cross-check.
 
-Within one call of either solver nothing is computed twice: each node's
-children come from one batched Euler step per (level, window, mode), and
-each reward, reset and cost is evaluated once per distinct argument.
-These caches belong to the call, share nothing with any other call and
-are freed when it returns or raises.
+The lattice is the complete tree over the quantized law's edges in
+breadth-first order, so its layout is index arithmetic and only the
+canonical state windows are stepped.  Within one call of either solver
+nothing is computed twice: every reward, reset, cost and node expansion
+(one batched Euler step over all of a node's edges) is a
+``functools.cache``d closure made for that call, and so is ``exact_dp``'s
+recursion.  These caches share nothing with any other call and are freed
+when it returns or raises.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -74,87 +78,30 @@ class _EdgeStepper:
     order, so one ``euler_increment`` call over a batch of one row per
     edge yields all of a node's child windows.  Rows are independent in
     the Euler step, so each child equals the one-row step along its edge.
-    The children are cached on (level, window, mode); a stepper serves one
+    ``children`` is cached on (level, window, mode); a stepper serves one
     call and its cache dies with it.
     """
 
     def __init__(self, problem: SwitchingProblem, grid: TimeGrid, edge_dw, edge_mark):
-        self.spec = problem.dynamics
-        self.grid = grid
-        self.dw = np.array(edge_dw, dtype=float).reshape(-1, 1)
-        self.counts = np.zeros((len(self.dw), self.spec.n_marks))
-        for row, mark in enumerate(edge_mark):
-            if mark >= 0:
-                self.counts[row, mark] = 1.0
-        self.cache = {}
+        spec = problem.dynamics
+        dw = np.array(edge_dw, dtype=float).reshape(-1, 1)
+        counts = (np.asarray(edge_mark).reshape(-1, 1) == np.arange(spec.n_marks)).astype(float)
+
+        @functools.cache
+        def children(level: int, window: tuple, mode: int) -> list:
+            """The child windows of a node at ``level`` holding ``window`` in ``mode``, in edge order."""
+            x = np.array([window[-1]] * len(dw))
+            y = np.array([window[0]] * len(dw))
+            dx = euler_increment(spec, grid.step, grid.times[level], x, y, mode, dw, counts)
+            return [window[1:] + (tuple(row),) for row in (x + dx).tolist()]
+
+        self.children = children
 
     @classmethod
     def of(cls, instance: "OracleInstance") -> "_EdgeStepper":
         """A stepper over the edges of ``instance``, read off its root."""
         kids = instance.tree.children[0]
         return cls(instance.problem, instance.grid, instance.edge_dw[kids], instance.edge_mark[kids])
-
-    def children(self, level: int, window: tuple, mode: int) -> list:
-        """The child windows of a node at ``level`` holding ``window`` in ``mode``, in edge order."""
-        key = (level, window, mode)
-        hit = self.cache.get(key)
-        if hit is None:
-            n = len(self.dw)
-            x = np.array([window[-1]] * n)
-            y = np.array([window[0]] * n)
-            dx = euler_increment(self.spec, self.grid.step, self.grid.times[level], x, y, mode,
-                                 self.dw, self.counts)
-            tail = window[1:]
-            hit = [tail + (tuple(row),) for row in (x + dx).tolist()]
-            self.cache[key] = hit
-        return hit
-
-
-class _ModelCalls:
-    """The problem's rewards, resets and costs on single states, each evaluated once per key.
-
-    ``terminal`` is keyed by state, ``running`` by (level, state, mode),
-    ``reset`` by (b, b2, level, state) and ``cost`` by (b, b2, level).
-    One instance serves one oracle call and its caches die with it.
-    """
-
-    def __init__(self, problem: SwitchingProblem, grid: TimeGrid):
-        self.problem = problem
-        self.times = grid.times
-        self._terminal = {}
-        self._running = {}
-        self._reset = {}
-        self._cost = {}
-
-    def terminal(self, state: tuple) -> float:
-        v = self._terminal.get(state)
-        if v is None:
-            out = self.problem.reward.terminal(np.array([state]))
-            v = self._terminal[state] = float(np.asarray(out, dtype=float).reshape(-1)[0])
-        return v
-
-    def running(self, level: int, state: tuple, mode: int) -> float:
-        key = (level, state, mode)
-        v = self._running.get(key)
-        if v is None:
-            out = self.problem.reward.running(self.times[level], np.array([state]), mode)
-            v = self._running[key] = float(np.asarray(out, dtype=float).reshape(-1)[0])
-        return v
-
-    def reset(self, b: int, b2: int, level: int, state: tuple) -> tuple:
-        key = (b, b2, level, state)
-        v = self._reset.get(key)
-        if v is None:
-            out = self.problem.jump_maps.reset(b, b2, self.times[level], np.array([state]))
-            v = self._reset[key] = tuple(out[0].tolist())
-        return v
-
-    def cost(self, b: int, b2: int, level: int) -> float:
-        key = (b, b2, level)
-        v = self._cost.get(key)
-        if v is None:
-            v = self._cost[key] = self.problem.costs(b, b2, self.times[level])
-        return v
 
 
 def build_lattice(
@@ -164,61 +111,46 @@ def build_lattice(
 ) -> OracleInstance:
     """Build the scenario lattice for a problem.
 
-    Levels equal grid.n_steps.  Node states are propagated by the same
-    Euler step as the simulation module with the initial mode held fixed;
-    with zero volatility all siblings carry equal states.  Errors if the
-    node count would exceed ``NODE_BUDGET``.
+    Levels equal grid.n_steps.  The lattice is the complete tree over the
+    edges of the quantized law, in breadth-first order: node i > 0 is
+    child (i - 1) % b of node (i - 1) // b.  Node states are propagated by
+    the same Euler step as the simulation module with the initial mode
+    held fixed; with zero volatility all siblings carry equal states.
+    Errors if the node count would exceed ``NODE_BUDGET``.
     """
     spec = problem.dynamics
     vals, probs, p_jump = _quantized_law(spec, grid, branching)
-    edges = [(float(v), -1, float(p) * (1.0 - p_jump)) for v, p in zip(vals, probs)]
+    dw, mark, prob = vals, np.full(len(vals), -1), probs * (1.0 - p_jump)
     if spec.jump_intensity > 0.0:
-        edges += [(0.0, k, p_jump * float(w)) for k, w in enumerate(spec.marks.weights)]
-    b_count = len(edges)
-    levels = grid.n_steps
-    n_nodes = (b_count ** (levels + 1) - 1) // (b_count - 1)
+        weights = np.asarray(spec.marks.weights, dtype=float)
+        dw = np.concatenate([dw, np.zeros(len(weights))])
+        mark = np.concatenate([mark, np.arange(len(weights))])
+        prob = np.concatenate([prob, p_jump * weights])
+    b = len(dw)
+    n_nodes = (b ** (grid.n_steps + 1) - 1) // (b - 1)
     if n_nodes > NODE_BUDGET:
         raise ValueError(f"lattice needs {n_nodes} nodes, over the budget of {NODE_BUDGET}")
+    n_inner = (n_nodes - 1) // b
+    levels = np.repeat(np.arange(grid.n_steps + 1), b ** np.arange(grid.n_steps + 1))
 
     pres = tuple(tuple(row) for row in spec.presegment(grid))
-    root_window = pres + (tuple(spec.initial_state()),)
-    stepper = _EdgeStepper(problem, grid, [e[0] for e in edges], [e[1] for e in edges])
-    b0 = problem.modes.initial
-
-    parents = [-1]
-    eprobs = [1.0]
-    node_levels = [0]
-    edge_dw = [0.0]
-    edge_mark = [-1]
-    windows = [root_window]
-    frontier = [0]
-    for level in range(levels):
-        nxt = []
-        for node in frontier:
-            for (dv, mk, pr), child_window in zip(edges, stepper.children(level, windows[node], b0)):
-                idx = len(parents)
-                parents.append(node)
-                eprobs.append(pr)
-                node_levels.append(level + 1)
-                edge_dw.append(dv)
-                edge_mark.append(mk)
-                windows.append(child_window)
-                nxt.append(idx)
-        frontier = nxt
-    states = np.array([w[-1] for w in windows])
+    windows = [pres + (tuple(spec.initial_state()),)]
+    step = _EdgeStepper(problem, grid, dw, mark).children
+    for node, level in enumerate(levels[:n_inner].tolist()):
+        windows += step(level, windows[node], problem.modes.initial)
     tree = ScenarioTree(
-        parents=np.array(parents, dtype=np.int64),
-        probs=np.array(eprobs),
-        levels=np.array(node_levels, dtype=np.int64),
-        states=states,
+        parents=np.arange(-1, n_nodes - 1) // b,  # (i - 1) // b, which is -1 at the root
+        probs=np.concatenate([[1.0], np.tile(prob, n_inner)]),
+        levels=levels,
+        states=np.array([w[-1] for w in windows]),
         times=grid.times,
     )
     return OracleInstance(
         problem=problem,
         grid=grid,
         tree=tree,
-        edge_dw=np.array(edge_dw),
-        edge_mark=np.array(edge_mark, dtype=np.int64),
+        edge_dw=np.concatenate([[0.0], np.tile(dw, n_inner)]),
+        edge_mark=np.concatenate([[-1], np.tile(mark, n_inner)]),
         windows=tuple(windows),
     )
 
@@ -252,6 +184,39 @@ def _recursion_room(grid: TimeGrid, n_modes: int, k_max: int):
         sys.setrecursionlimit(old)
 
 
+def _call_setup(instance: OracleInstance):
+    """What one oracle call reads: the lattice as lists, then the model calls
+    and the edge stepper, each cached on its arguments for this call only.
+
+    ``terminal`` is keyed by state, ``running`` by (level, state, mode),
+    ``reset`` by (b, b2, level, state), ``cost`` by (b, b2, level) and
+    ``step`` by (level, window, mode).
+    """
+    problem = instance.problem
+    reject_history_reward(problem, "the exact oracle")
+    times = instance.grid.times
+
+    @functools.cache
+    def terminal(state: tuple) -> float:
+        return float(np.ravel(problem.reward.terminal(np.array([state])))[0])
+
+    @functools.cache
+    def running(level: int, state: tuple, mode: int) -> float:
+        return float(np.ravel(problem.reward.running(times[level], np.array([state]), mode))[0])
+
+    @functools.cache
+    def reset(b: int, b2: int, level: int, state: tuple) -> tuple:
+        return tuple(problem.jump_maps.reset(b, b2, times[level], np.array([state]))[0].tolist())
+
+    @functools.cache
+    def cost(b: int, b2: int, level: int) -> float:
+        return problem.costs(b, b2, times[level])
+
+    tree = instance.tree
+    step = _EdgeStepper.of(instance).children
+    return tree.children, tree.levels.tolist(), tree.probs.tolist(), terminal, running, reset, cost, step
+
+
 def exact_dp(instance: OracleInstance, k_max: int, with_table: bool = True) -> OracleValues:
     """Exact value of the switching problem on the lattice.
 
@@ -261,38 +226,26 @@ def exact_dp(instance: OracleInstance, k_max: int, with_table: bool = True) -> O
     single switch, which re-enters the same node with one budget unit
     less, so multi-switch chains at one instant compose naturally.
     """
-    problem = instance.problem
-    reject_history_reward(problem, "the exact oracle")
-    children = instance.tree.children
-    levels = instance.tree.levels.tolist()
-    probs = instance.tree.probs.tolist()
+    children, levels, probs, terminal, running, reset, cost, step = _call_setup(instance)
     dt = instance.grid.step
-    labels = list(problem.modes.labels)
-    others = {b: problem.modes.others(b) for b in labels}
-    model = _ModelCalls(problem, instance.grid)
-    stepper = _EdgeStepper.of(instance)
-    memo = {}
+    labels = list(instance.problem.modes.labels)
+    others = {b: instance.problem.modes.others(b) for b in labels}
 
+    @functools.cache
     def value(node: int, b: int, k: int, window: tuple) -> float:
-        key = (node, b, k, window)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
         kids = children[node]
         if not kids:
-            v = model.terminal(window[-1])
-        else:
-            level = levels[node]
-            v = model.running(level, window[-1], b) * dt
-            for child, child_window in zip(kids, stepper.children(level, window, b)):
-                v += probs[child] * value(child, b, k, child_window)
-            if k > 0:
-                for b2 in others[b]:
-                    x2 = model.reset(b, b2, level, window[-1])
-                    alt = -model.cost(b, b2, level) + value(node, b2, k - 1, window[:-1] + (x2,))
-                    if alt > v:
-                        v = alt
-        memo[key] = v
+            return terminal(window[-1])
+        level = levels[node]
+        v = running(level, window[-1], b) * dt
+        for child, child_window in zip(kids, step(level, window, b)):
+            v += probs[child] * value(child, b, k, child_window)
+        if k > 0:
+            for b2 in others[b]:
+                x2 = reset(b, b2, level, window[-1])
+                alt = -cost(b, b2, level) + value(node, b2, k - 1, window[:-1] + (x2,))
+                if alt > v:
+                    v = alt
         return v
 
     root = np.empty((k_max + 1, len(labels)))
@@ -328,14 +281,9 @@ def enumerate_controls(instance: OracleInstance, k_max: int) -> EnumerationResul
     value memoization.  Raises RuntimeError beyond ``MAX_CONTEXTS``
     explored contexts.
     """
-    problem = instance.problem
-    reject_history_reward(problem, "the exact oracle")
-    children = instance.tree.children
-    levels = instance.tree.levels.tolist()
-    probs = instance.tree.probs.tolist()
+    children, levels, probs, terminal, running, reset, cost, step = _call_setup(instance)
     dt = instance.grid.step
-    model = _ModelCalls(problem, instance.grid)
-    stepper = _EdgeStepper.of(instance)
+    modes = instance.problem.modes
     counter = [0]
 
     def instant_options(level: int, b: int, k: int, window: tuple) -> list:
@@ -343,12 +291,12 @@ def enumerate_controls(instance: OracleInstance, k_max: int) -> EnumerationResul
         options = []
         stack = [((), 0.0, b, window)]
         while stack:
-            chain, cost, cur, win = option = stack.pop()
+            chain, paid, cur, win = option = stack.pop()
             options.append(option)
             if len(chain) < k:
-                for b2 in reversed(problem.modes.others(cur)):
-                    w2 = win[:-1] + (model.reset(cur, b2, level, win[-1]),)
-                    stack.append((chain + (b2,), cost + model.cost(cur, b2, level), b2, w2))
+                for b2 in reversed(modes.others(cur)):
+                    w2 = win[:-1] + (reset(cur, b2, level, win[-1]),)
+                    stack.append((chain + (b2,), paid + cost(cur, b2, level), b2, w2))
         return options
 
     def explore(node: int, b: int, k: int, window: tuple):
@@ -357,13 +305,13 @@ def enumerate_controls(instance: OracleInstance, k_max: int) -> EnumerationResul
             raise RuntimeError(f"enumeration exceeded {MAX_CONTEXTS} contexts")
         kids = children[node]
         if not kids:
-            return model.terminal(window[-1]), ()
+            return terminal(window[-1]), ()
         level = levels[node]
         best = None
         best_chain = ()
-        for chain, cost, b2, win2 in instant_options(level, b, k, window):
-            total = model.running(level, win2[-1], b2) * dt - cost
-            for child, child_window in zip(kids, stepper.children(level, win2, b2)):
+        for chain, paid, b2, win2 in instant_options(level, b, k, window):
+            total = running(level, win2[-1], b2) * dt - paid
+            for child, child_window in zip(kids, step(level, win2, b2)):
                 v_child, _ = explore(child, b2, k - len(chain), child_window)
                 total += probs[child] * v_child
             if best is None or total > best:
@@ -372,8 +320,8 @@ def enumerate_controls(instance: OracleInstance, k_max: int) -> EnumerationResul
         return best, best_chain
 
     try:
-        with _recursion_room(instance.grid, problem.modes.n_modes, k_max):
-            value, chain = explore(0, problem.modes.initial, k_max, instance.windows[0])
+        with _recursion_room(instance.grid, modes.n_modes, k_max):
+            value, chain = explore(0, modes.initial, k_max, instance.windows[0])
     finally:
         del explore  # the recursion refers to itself; unbinding it frees the caches now
     return EnumerationResult(value=float(value), root_chain=chain, contexts=counter[0])

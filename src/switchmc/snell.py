@@ -4,7 +4,11 @@ A tree node carries the full path history by construction (no
 recombining), so path functionals and delayed lookbacks are exact node
 attributes.  For a payoff process U on the tree, the envelope computed
 here is the smallest supermartingale dominating U; stopping at the first
-node where the envelope touches the payoff attains it.
+node where the envelope touches the payoff attains it.  The envelope,
+the value of a stopping rule and the random dominating supermartingale
+are one leaves-up sweep (``_backward``) with different node rules.
+Trees are validated when built, since ``tree_from_json`` reads outside
+input.
 """
 
 from __future__ import annotations
@@ -56,10 +60,18 @@ class ScenarioTree:
         for name, val in (("parents", parents), ("probs", probs), ("levels", levels), ("states", states), ("times", times)):
             object.__setattr__(self, name, val)
         n = parents.shape[0]
-        if parents[0] != -1 or levels[0] != 0:
+        if parents.shape != (n,) or probs.shape != (n,) or levels.shape != (n,) or states.ndim != 2 or len(states) != n:
+            raise ValueError("parents, probs, levels and states need one entry per node")
+        if n == 0 or parents[0] != -1 or levels[0] != 0:
             raise ValueError("node 0 must be the root")
-        if np.any(parents[1:] >= np.arange(1, n)):
-            raise ValueError("parents must precede children")
+        if np.any(parents[1:] < 0) or np.any(parents[1:] >= np.arange(1, n)):
+            raise ValueError("every node but the root needs a parent with a smaller index")
+        if np.any(levels[1:] != levels[parents[1:]] + 1):
+            raise ValueError("every node's level must be its parent's plus one")
+        if times.ndim != 1 or len(times) < levels.max() + 1:
+            raise ValueError("times needs an entry for every level")
+        if not np.all((probs >= 0.0) & (probs <= 1.0)):
+            raise ValueError("probabilities must lie in [0, 1]")
         children = [[] for _ in range(n)]
         for i in range(1, n):
             children[parents[i]].append(i)
@@ -113,23 +125,32 @@ class ScenarioTree:
         return reach
 
 
+def _per_node(tree: ScenarioTree, name: str, values, dtype=float) -> np.ndarray:
+    """``values`` as an array with one entry per node of ``tree``."""
+    out = np.asarray(values, dtype=dtype)
+    if out.shape != (tree.n_nodes,):
+        raise ValueError(f"{name} must have one value per node")
+    return out
+
+
+def _backward(tree: ScenarioTree, node_value: Callable) -> np.ndarray:
+    """Node values from the leaves up: ``node_value(i, cont)`` at node i, where
+    cont is the probability-weighted value of its children, None at a leaf."""
+    v = np.empty(tree.n_nodes)
+    for i in range(tree.n_nodes - 1, -1, -1):
+        kids = tree.children[i]
+        v[i] = node_value(i, float(np.dot(tree.probs[kids], v[kids])) if kids else None)
+    return v
+
+
 def snell_envelope(tree: ScenarioTree, payoff: np.ndarray) -> np.ndarray:
     """Smallest supermartingale dominating the payoff process.
 
     Backward recursion: the envelope equals the payoff at leaves and
     max(payoff, expected child envelope) inside.
     """
-    u = np.asarray(payoff, dtype=float)
-    if u.shape != (tree.n_nodes,):
-        raise ValueError("payoff must have one value per node")
-    z = np.empty_like(u)
-    for i in range(tree.n_nodes - 1, -1, -1):
-        kids = tree.children[i]
-        if not kids:
-            z[i] = u[i]
-        else:
-            z[i] = max(u[i], float(np.dot(tree.probs[kids], z[kids])))
-    return z
+    u = _per_node(tree, "payoff", payoff)
+    return _backward(tree, lambda i, cont: u[i] if cont is None else max(u[i], cont))
 
 
 def optimal_stopping_rule(tree: ScenarioTree, payoff: np.ndarray, envelope: Optional[np.ndarray] = None) -> np.ndarray:
@@ -137,26 +158,18 @@ def optimal_stopping_rule(tree: ScenarioTree, payoff: np.ndarray, envelope: Opti
 
     Ties count as touching, so the rule stops there.  Leaves always stop.
     """
-    u = np.asarray(payoff, dtype=float)
-    z = snell_envelope(tree, u) if envelope is None else np.asarray(envelope, dtype=float)
+    u = _per_node(tree, "payoff", payoff)
+    z = snell_envelope(tree, u) if envelope is None else _per_node(tree, "envelope", envelope)
     stop = (z - u) <= TOUCH_TOL
-    for i in range(tree.n_nodes):
-        if tree.is_leaf(i):
-            stop[i] = True
+    stop[tree.leaves] = True
     return stop
 
 
 def rule_value(tree: ScenarioTree, payoff: np.ndarray, stop: np.ndarray) -> float:
     """Expected payoff of the first-hitting rule defined by a stop set."""
-    u = np.asarray(payoff, dtype=float)
-    v = np.empty_like(u)
-    for i in range(tree.n_nodes - 1, -1, -1):
-        if stop[i] or tree.is_leaf(i):
-            v[i] = u[i]
-        else:
-            kids = tree.children[i]
-            v[i] = float(np.dot(tree.probs[kids], v[kids]))
-    return float(v[0])
+    u = _per_node(tree, "payoff", payoff)
+    stop = _per_node(tree, "stop", stop, dtype=bool)
+    return float(_backward(tree, lambda i, cont: u[i] if cont is None or stop[i] else cont)[0])
 
 
 @dataclass(frozen=True)
@@ -187,16 +200,8 @@ def random_dominating_supermartingale(
     recursion, so dominance and the supermartingale property hold by
     construction.
     """
-    u = np.asarray(payoff, dtype=float)
-    w = np.empty_like(u)
-    for i in range(tree.n_nodes - 1, -1, -1):
-        slack = float(rng.random())
-        kids = tree.children[i]
-        if not kids:
-            w[i] = u[i] + slack
-        else:
-            w[i] = max(u[i], float(np.dot(tree.probs[kids], w[kids]))) + slack
-    return w
+    u = _per_node(tree, "payoff", payoff)
+    return _backward(tree, lambda i, cont: (u[i] if cont is None else max(u[i], cont)) + float(rng.random()))
 
 
 def tree_to_json(tree: ScenarioTree) -> str:

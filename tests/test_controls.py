@@ -191,6 +191,18 @@ def test_cycle_reduction_identity_and_counterexample():
     assert not rep2.ok
 
 
+@pytest.mark.parametrize("n_modes", [3, 5])
+def test_an_overwriting_reset_reduces_to_its_last_two_switches(n_modes):
+    # A chain of resets that overwrite the state lands where its last
+    # switch sends it, so a two-switch subsequence ending there matches;
+    # subsequences that repeat a mode back to back are not chains.
+    overwrite = JumpMapFamily(
+        apply=lambda bf, bt, t, x: np.full_like(x, float(bt)), reduction_length=2, target_only=True
+    )
+    probes = np.linspace(-1.0, 1.0, 8)[:, None]
+    assert validate_cycle_reduction(overwrite, ModeSet(n_modes), probes, seed=0).ok
+
+
 def test_affine_default_loop_floor_is_the_cycle_minimum():
     rng = np.random.default_rng(11)
     for _ in range(40):

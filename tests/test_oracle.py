@@ -83,6 +83,22 @@ def test_node_budget_guard():
         build_lattice(problem, grid, branching=2)
 
 
+@pytest.mark.parametrize("branching", [2, 3])
+@pytest.mark.parametrize("build", [delay_instance, jumps_instance], ids=["delay", "jumps"])
+def test_lattice_layout_is_the_complete_tree_in_breadth_first_order(build, branching):
+    inst = build_lattice(*build(n_steps=3), branching=branching)
+    tree = inst.tree
+    root_edges = [(inst.edge_dw[c], inst.edge_mark[c], tree.probs[c]) for c in tree.children[0]]
+    b = len(root_edges)
+    assert tree.n_nodes == (b**4 - 1) // (b - 1)
+    for i in range(1, tree.n_nodes):
+        assert tree.parents[i] == (i - 1) // b
+        assert tree.levels[i] == tree.levels[tree.parents[i]] + 1
+    for kids in tree.children:
+        if kids:
+            assert [(inst.edge_dw[c], inst.edge_mark[c], tree.probs[c]) for c in kids] == root_edges
+
+
 def test_two_mode_exact_values():
     problem, grid = two_mode_flow_problem(n_steps=4)
     inst = build_lattice(problem, grid, branching=2)

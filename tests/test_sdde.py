@@ -357,6 +357,17 @@ def test_poisson_count_mean():
     assert 1.97 <= mean_total <= 2.03
 
 
+def test_an_empty_gaussian_batch_has_the_layout_of_a_full_one():
+    grid = TimeGrid(1.0, 8)
+    spec = two_mark_spec()
+    empty = sample_noise_batch(spec, grid, seed=0, n_paths=0)
+    full = sample_noise_batch(spec, grid, seed=0, n_paths=3)
+    for none, some in zip(empty, full):
+        assert none.shape == (0,) + some.shape[1:]
+        assert none.dtype == some.dtype
+    assert [a.dtype for a in empty] == [np.float64, np.int64]
+
+
 def test_quantized_noise_support():
     spec = gbm_spec()
     grid = TimeGrid(1.0, 10)

@@ -1,5 +1,8 @@
 """Envelope recursion on scenario trees: dominance, minimality, attainment."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,30 @@ def test_tree_validation_errors():
             states=np.zeros((3, 1)),
             times=np.array([0.0, 1.0]),
         )
+    # The schema's example, then one malformed change to it per case.
+    example = {"parents": [-1, 0, 0], "probs": [1.0, 0.5, 0.5], "levels": [0, 1, 1],
+               "states": [[1.0], [1.3], [0.7]], "times": [0.0, 1.0]}
+    for change in (
+        {"probs": [1.0, float("nan"), 0.5]},
+        {"probs": [1.0, 1.5, -0.5]},
+        {"parents": [-1, 0, -2], "probs": [1.0, 1.0, 1.0], "levels": [0, 1, 2], "times": [0.0, 1.0, 2.0]},
+        {"parents": [-1, 0, -1], "probs": [1.0, 1.0, 1.0]},
+        {"levels": [0, 1, 2], "times": [0.0, 1.0, 2.0]},
+        {"probs": [1.0, 0.5, 0.5, 0.5]},
+        {"levels": [0, 1, 1, 1]},
+        {"states": [[1.0], [1.3]]},
+        {"times": [0.0]},
+    ):
+        with pytest.raises(ValueError):
+            tree_from_json(json.dumps({**example, **change}))
+    tree = tree_from_json(json.dumps(example))
+    payoff = np.array([0.2, 0.4, 0.1])
+    with pytest.raises(ValueError):
+        optimal_stopping_rule(tree, 0.5, snell_envelope(tree, payoff))
+    with pytest.raises(ValueError):
+        optimal_stopping_rule(tree, payoff, 0.0)
+    with pytest.raises(ValueError):
+        rule_value(tree, payoff, np.array([False, True, True, True]))
 
 
 def test_snell_properties_random_trees():
@@ -86,6 +113,36 @@ def test_snell_properties_random_trees():
             assert np.all(w >= z - TOL)
         stop = optimal_stopping_rule(tree, payoff, z)
         assert rule_value(tree, payoff, stop) == pytest.approx(z[0], abs=TOL)
+
+
+# Per tree seed: ``float.hex`` of the envelope's root, of the value of the
+# first-hitting rule, of the random supermartingale's root and of the value
+# of a random stop set, then the first 16 hex digits of the SHA-256 of the
+# envelope, stop set and random supermartingale arrays' bytes, so every
+# node is pinned bit for bit.  Recorded before the three recursions shared
+# one backward sweep.
+SNELL_PINS = {
+    1: ("0x1.81261a58b55d4p-1", "0x1.81261a58b55d4p-1", "0x1.1ec33dc6ed312p+1", "-0x1.7d59ecf14c10ap-2",
+        "afe0d02bee1e3b89"),
+    7: ("0x1.63ed8c060e25ap+0", "0x1.63ed8c060e25ap+0", "0x1.d13fa2d40329ep+1", "-0x1.5e55a20cb8ff6p-1",
+        "4e7c29e8999c6eb2"),
+    13: ("0x1.eda7626ee21e7p-1", "0x1.eda7626ee21e7p-1", "0x1.4a5afd8f8acb4p+1", "-0x1.8b8d084af750cp-4",
+         "28b828b6f5d6f48b"),
+}
+
+
+@pytest.mark.parametrize("seed", list(SNELL_PINS))
+def test_envelope_rule_and_random_supermartingale_match_their_pins(seed):
+    rng = np.random.default_rng(seed)
+    tree = random_scenario_tree(rng, dim=2)
+    payoff = rng.normal(size=tree.n_nodes)
+    z = snell_envelope(tree, payoff)
+    stop = optimal_stopping_rule(tree, payoff)
+    w = random_dominating_supermartingale(tree, payoff, rng)
+    anywhere = rule_value(tree, payoff, rng.random(tree.n_nodes) < 0.5)
+    digest = hashlib.sha256(z.tobytes() + stop.tobytes() + w.tobytes()).hexdigest()[:16]
+    pins = (z[0].hex(), rule_value(tree, payoff, stop).hex(), w[0].hex(), anywhere.hex(), digest)
+    assert pins == SNELL_PINS[seed]
 
 
 def test_reach_probabilities_sum_per_level():

@@ -725,6 +725,8 @@ def test_surface_evaluation_api():
     assert np.allclose(vT, 0.0)
     c = surf.continuation_at(k, 2, 3, x, y)
     assert np.allclose(c, 0.625)
+    xs = np.linspace(-1.0, 1.0, 5)[:, None]
+    assert np.array_equal(surf.continuation_at(k, 2, grid.n_steps, xs, y), problem.reward.terminal(xs))
     with pytest.raises(ValueError):
         surf._tab_eval(grid.n_steps, x, y)
 
