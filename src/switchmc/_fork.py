@@ -32,7 +32,11 @@ def _may_fork() -> bool:
 
 
 def _empty(shape: tuple, dtype, shared: bool) -> np.ndarray:
-    """An uninitialized array; in anonymous shared memory when ``shared``."""
+    """An uninitialized array; in anonymous shared memory when ``shared``.
+
+    A shared array is mapped from the system, not taken from the heap, so
+    its pages go back to the system as soon as it is freed.
+    """
     nbytes = np.dtype(dtype).itemsize * int(np.prod(shape))
     if not (shared and nbytes):  # mmap rejects length 0
         return np.empty(shape, dtype=dtype)

@@ -76,11 +76,11 @@ class ScenarioTree:
         for i in range(1, n):
             children[parents[i]].append(i)
         object.__setattr__(self, "children", children)
-        for i in range(n):
-            if children[i]:
-                mass = probs[children[i]].sum()
-                if abs(mass - 1.0) > TOUCH_TOL:
-                    raise ValueError(f"child probabilities of node {i} sum to {mass}")
+        n_kids = np.bincount(parents[1:], minlength=n)
+        mass = np.bincount(parents[1:], probs[1:], minlength=n)
+        off = np.flatnonzero((n_kids > 0) & (np.abs(mass - 1.0) > TOUCH_TOL))
+        if off.size:
+            raise ValueError(f"child probabilities of node {off[0]} sum to {mass[off[0]]}")
 
     @property
     def n_nodes(self) -> int:

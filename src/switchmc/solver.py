@@ -48,12 +48,23 @@ design the solve holds one record, ``_Factor``: the kept-column mask, the
 rank and one p x p matrix, which also give the probe standard errors and
 the count of rank-deficient fits: 1.9 MB at p = 25 and 25 MB at p = 91 on
 a 64-step, 6-mode grid.  Levels above 0 therefore agree with lstsq at
-round-off rather than bit for bit.  The standard-error blocks run as the
-groups of one pass over every level up to k_max: each group is fitted on
-its own rows, and only the fits and the products with their coefficients
-are per group.  On Linux, in a single-threaded process with a spare CPU,
-a forked child runs that block pass beside the main pass and writes its
-block roots into shared memory.
+round-off rather than bit for bit.  The rest of what a step reads is
+the same at every level too, so the main pass computes it once per
+solve, on its first level (``_Records``): each mode's rows, each mode's
+running reward at the pre-switch states and at its post-switch states,
+and which distinct post-switch batch each target mode's reset gives.
+The levels above call no running reward, and call the reset once per
+step and distinct batch, only to build that batch's design again.  The
+main pass keeps one post-switch table: level k's row i replaces level
+k-1's as soon as step i, its last reader, has been yielded.  For n
+steps, m modes and P paths the records take 2nmP floats and nP indices
+and the single table saves nmP floats, +1.8 MB in all at P = 500 and
++36 MB at P = 10,000 on a 64-step, 6-mode grid.  The standard-error
+blocks run as the groups of one pass over every level up to k_max: each
+group is fitted on its own rows, and only the fits and the products with
+their coefficients are per group.  On Linux, in a single-threaded process
+with a spare CPU, a forked child runs that block pass beside the main
+pass and writes its block roots into shared memory.
 Once the main pass ends they are taken if the child exited cleanly,
 without an exception or a warning; otherwise the block pass runs again
 inline.  The outputs, warnings and exceptions are those of an inline run.
@@ -307,7 +318,7 @@ def _switch_costs(problem: SwitchingProblem, t: float) -> np.ndarray:
 
 
 def _level_values(problem, fm, t, dt, x, yv, A, coef, target_range, below, cost,
-                  groups=(slice(None),), moved_only=False):
+                  groups=(slice(None),), moved_only=False, record=None):
     """The backward formula at one instant for a contiguous range of levels.
 
     The rows of ``x`` (delayed states ``yv``) form contiguous ``groups``,
@@ -324,42 +335,67 @@ def _level_values(problem, fm, t, dt, x, yv, A, coef, target_range, below, cost,
     rewards and designs run once over all rows, and each distinct state
     batch gets one design and one running reward per mode, found by
     content (identity resets reuse ``A`` and the pre-switch rewards).
+
+    ``record`` is one step's (batch, run) rows of the main pass's
+    ``_Records``, for a call with ``A`` and both sides.  A call that finds
+    them empty fills them; a later one reads the rewards and the batches
+    from them, and calls the reset only to build each batch's design again.
     """
     levels = coef.shape[2]
-    shape = (levels, problem.modes.n_modes, x.shape[0])
+    labels = problem.modes.labels
+    shape = (levels, len(labels), x.shape[0])
     tab = None if moved_only else np.empty(shape)
     moved = np.empty(shape)
     sides = [moved] if tab is None else [tab, moved]
-    # Per distinct state batch: its design and its running reward by mode.
-    built = [] if A is None else [(x, A, {})]
+    if record is not None and record[0][0] >= 0:
+        # Each batch other than ``x`` is the reset into the first target
+        # mode that reached it.
+        batch, run = record
+        designs = [A]
+        for b in labels:
+            if batch[b - 1] == len(designs):
+                designs.append(fm.design(_moved_state(problem, b, t, x), yv))
+    else:
+        # ``batch`` numbers each target mode's state batch, found by content.
+        batch, run = record or (np.empty(len(labels), dtype=np.int64), np.empty((2, *shape[1:])))
+        if A is None and tab is not None:
+            A = fm.design(x, yv)
+        states, designs = ([], []) if A is None else ([x], [A])
 
-    def at(xs):
-        for entry in built:
-            if xs is entry[0] or np.array_equal(xs, entry[0]):
-                return entry
-        built.append((xs, fm.design(xs, yv), {}))
-        return built[-1]
+        def at(xs):
+            for j, seen in enumerate(states):
+                if xs is seen or np.array_equal(xs, seen):
+                    return j
+            states.append(xs)
+            designs.append(fm.design(xs, yv))
+            return len(states) - 1
 
-    def fill(side, xs, b):
+        for b in labels:
+            if tab is not None:
+                run[0, b - 1] = dt * np.asarray(problem.reward.running(t, x, b), dtype=float)
+            j = batch[b - 1] = at(_moved_state(problem, b, t, x))
+            if j == 0 and tab is not None:  # the pre-switch states
+                run[1, b - 1] = run[0, b - 1]
+            else:
+                run[1, b - 1] = dt * np.asarray(problem.reward.running(t, states[j], b), dtype=float)
+
+    def fill(side, b, D, run_b):
         # One einsum per group for all its levels.  Its loops are numpy's
         # own, not BLAS, so each value depends only on its own row: a BLAS
         # product can round a row differently with other rows beside it,
         # and exact ties between same-instant switch chains (additive
         # switch costs) would then break differently in the policy than in
         # training, or with the batch a decision is made in.
-        _, D, run = at(xs)
         for rows, c, r in zip(groups, coef[:, b - 1], target_range[:, b - 1]):
             out = side[:, b - 1, rows]
             np.einsum("np,lp->ln", D[rows], c, out=out)
             np.clip(out, r[:, :1], r[:, 1:], out=out)
-        if b not in run:
-            run[b] = dt * np.asarray(problem.reward.running(t, xs, b), dtype=float)
-        side[:, b - 1] += run[b]
+        side[:, b - 1] += run_b
 
-    for b in problem.modes.labels:
+    for b in labels:
         if tab is not None:
-            fill(tab, x, b)
-        fill(moved, _moved_state(problem, b, t, x), b)
+            fill(tab, b, designs[0], run[0, b - 1])
+        fill(moved, b, designs[batch[b - 1]], run[1, b - 1])
     # Continuation values are in place; each level now takes the larger
     # of continuation and best intervention into the level below.
     for lev in range(levels):
@@ -383,8 +419,36 @@ class _Step(NamedTuple):
     n_empty: int  # (group, mode) fits with no path in the mode, fitted on the whole group
 
 
+class _Records:
+    """What each budget level of the main pass reads at a step, kept per solve.
+
+    Mode b's paths at step i are ``order[i, bounds[i, b - 1]:bounds[i, b]]``,
+    sorted stably by mode and so in ``np.flatnonzero``'s order.  The first
+    level's ``_level_values`` call at step i fills ``batch[i]`` (-1 until
+    then), the state batch a switch into each mode lands in: 0 for the
+    pre-switch states, then 1, 2, ... for the other distinct batches in
+    order of first appearance; and ``run[i]``, each mode's running reward
+    times dt at the pre-switch states and at its post-switch states.
+    ``run`` and the main pass's post-switch table are mapped (``_empty``),
+    not taken from the heap, so repeated solves leave no holes in it.
+    """
+
+    def __init__(self, mode_of_step: np.ndarray, n_modes: int):
+        n_paths, n = mode_of_step.shape[0], mode_of_step.shape[1] - 1
+        by_step = mode_of_step[:, :n].T
+        self.order = np.argsort(by_step, axis=1, kind="stable")
+        self.bounds = np.zeros((n, n_modes + 1), dtype=np.int64)
+        for b in range(1, n_modes + 1):
+            self.bounds[:, b] = self.bounds[:, b - 1] + (by_step == b).sum(axis=1)
+        self.batch = np.full((n, n_modes), -1)
+        self.run = _empty((n, 2, n_modes, n_paths), float, True)
+
+    def rows(self, i: int, b: int) -> np.ndarray:
+        return self.order[i, self.bounds[i, b - 1]:self.bounds[i, b]]
+
+
 def _backward_pass(problem, grid, fm, ens, groups, n_levels, below, cost, factors=None,
-                   probe_steps=(), probe_rows=0):
+                   probe_steps=(), probe_rows=0, records=None):
     """Fit ``n_levels`` consecutive budget levels in one time-major pass.
 
     ``ens`` is (pre-switch states, post-switch states, the mode driving
@@ -404,7 +468,8 @@ def _backward_pass(problem, grid, fm, ens, groups, n_levels, below, cost, factor
     Without it every fit runs lstsq.  At the steps in ``probe_steps``,
     which need ``factors``, the record carries each fit's design standard
     error at the first ``probe_rows`` pre-switch states, for its first
-    target column.
+    target column.  ``records``, a ``_Records`` of the main pass kept across
+    calls, gives each mode's rows and each step's rewards and batches.
     """
     pre, post, mode_of_step, g_pre = ens
     pres = problem.dynamics.presegment(grid)
@@ -421,7 +486,10 @@ def _backward_pass(problem, grid, fm, ens, groups, n_levels, below, cost, factor
         n_empty = 0
         for g, rows_g in enumerate(groups):
             for b in problem.modes.labels:
-                rows = rows_g.start + np.flatnonzero(mode_of_step[rows_g, i] == b)
+                if records is None:
+                    rows = rows_g.start + np.flatnonzero(mode_of_step[rows_g, i] == b)
+                else:
+                    rows = records.rows(i, b)
                 if not rows.size:
                     rows = rows_g
                     n_empty += 1
@@ -437,6 +505,7 @@ def _backward_pass(problem, grid, fm, ens, groups, n_levels, below, cost, factor
         tab, moved = _level_values(
             problem, fm, grid.times[i], grid.step, pre[:, i], y_del, A_pre, coef, target_range,
             None if below is None else below[i], cost[i], groups,
+            record=None if records is None else (records.batch[i], records.run[i]),
         )
         yield _Step(i, tab, moved, coef, target_range, probe_se, n_empty)
         nxt = tab
@@ -667,6 +736,8 @@ def solve(
     # Every level refits the same (step, mode) designs: level 0 factorizes
     # each one beside its lstsq call, and the levels above reuse the factor.
     factors = [[_Factor() for _ in labels] for _ in range(n)]
+    # The rows, rewards and batches of each step are the same at every level too.
+    records = _Records(mode_of_step, m)
 
     # The design-conditional root SE treats the regression targets as
     # data, but they are themselves fitted, so it badly understates the
@@ -699,14 +770,16 @@ def solve(
         # the quantity they estimate.  Clamping the training targets instead
         # would rectify fit noise upward at every step and compound that
         # bias through the backward recursion.
-        below = None
+        # One post-switch table: level k's row i replaces level k-1's once
+        # step i, its last reader, has been yielded.
+        below = _empty((n, m, n_paths), float, True)
         converged = False
         for k in range(k_max + 1):
-            moved = np.empty((n, m, n_paths))
-            for step in _backward_pass(problem, grid, fm, ens, [slice(0, n_paths)], 1, below,
-                                       cost, factors, probe_times, q):
+            for step in _backward_pass(problem, grid, fm, ens, [slice(0, n_paths)], 1,
+                                       below if k else None, cost, factors, probe_times, q,
+                                       records):
                 i = step.i
-                moved[i] = step.moved[0]
+                below[i] = step.moved[0]
                 coef[i, :, k] = step.coef[0, :, 0]
                 target_range[i, :, k] = step.target_range[0, :, 0]
                 n_empty += step.n_empty
@@ -716,7 +789,7 @@ def solve(
                     probe_se[k, :, j] = step.probe_se
             if not np.isfinite(probe[k]).all():
                 raise ValueError(f"level {k} values are not finite: the rewards must be finite")
-            below, k_final = moved, k
+            k_final = k
             if k == 0:
                 continue
             step_up = probe[k] - probe[k - 1]

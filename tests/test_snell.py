@@ -71,6 +71,15 @@ def test_tree_validation_errors():
             states=np.zeros((3, 1)),
             times=np.array([0.0, 1.0]),
         )
+    # Nodes 1 and 2 both have children whose mass is off; the first is named.
+    with pytest.raises(ValueError, match=r"of node 1 sum to 1\.1"):
+        ScenarioTree(
+            parents=np.array([-1, 0, 0, 1, 1, 2, 2]),
+            probs=np.array([1.0, 0.5, 0.5, 0.5, 0.6, 0.5, 0.7]),
+            levels=np.array([0, 1, 1, 2, 2, 2, 2]),
+            states=np.zeros((7, 1)),
+            times=np.array([0.0, 1.0, 2.0]),
+        )
     # The schema's example, then one malformed change to it per case.
     example = {"parents": [-1, 0, 0], "probs": [1.0, 0.5, 0.5], "levels": [0, 1, 1],
                "states": [[1.0], [1.3], [0.7]], "times": [0.0, 1.0]}

@@ -358,9 +358,121 @@ def test_level_values_computes_each_running_reward_once(monkeypatch):
         surf = solve(_with_running(problem, counting), grid, k_max=3, n_paths=800, seed=5,
                      quantization=2)
     assert surf.k_levels == 3
-    # 4 main-pass levels and one block pass, over 6 steps, once per mode.
-    assert sum(map(len, calls)) == (4 + 1) * 6 * 2 == 60
-    assert all(sorted(modes) == [1, 2] for modes in calls)
+    # Level 0 of the main pass and the block pass, over 6 steps, once per
+    # mode; the main pass's levels above read the rewards level 0 recorded.
+    assert sum(map(len, calls)) == (1 + 1) * 6 * 2 == 24
+    assert all(sorted(modes) in ([1, 2], []) for modes in calls)
+
+
+# Main-pass instances: problem, grid, then feature map, paths, seed and
+# quantization.  Hydro's six targets share three post-switch batches,
+# the delay instance's resets are the identity, the jumps instance has
+# compensated jumps, and the shift instance is the delay instance with a
+# reset that moves the state by its target mode, so each mode's running
+# reward differs between its pre- and post-switch states.
+MAIN_PASS_INSTANCES = ["hydro", "delay", "jumps", "shift"]
+
+
+def _main_pass_instance(name):
+    if name == "hydro":
+        return (*build_hydro_problem(HydroParams(n_steps=8)), FeatureMap(cross_terms=False),
+                300, 3, None)
+    if name == "jumps":
+        return (*jumps_instance(), FeatureMap(), 800, 6, 2)
+    problem, grid = delay_instance()
+    if name == "shift":
+        shift = JumpMapFamily(apply=lambda b_from, b_to, t, x: x + 0.1 * b_to, target_only=True)
+        problem = dataclasses.replace(problem, jump_maps=shift)
+    return problem, grid, FeatureMap(degree=3), 800, 5, 2
+
+
+@pytest.mark.parametrize("name", MAIN_PASS_INSTANCES)
+def test_main_pass_records_give_what_every_level_recomputes(name):
+    # Levels 0-3 of the main pass, as solve runs them with the per-solve
+    # records and one post-switch table, against a reference that
+    # recomputes rows, rewards and resets at every level and keeps each
+    # level's table apart.  Both share the factors, as solve's levels do.
+    problem, grid, fm, n_paths, seed, quantization = _main_pass_instance(name)
+    pre, post, mode_of_step, _ = _randomized_ensemble(problem, grid, n_paths, seed, quantization)
+    n, m = grid.n_steps, problem.modes.n_modes
+    g_pre = np.asarray(problem.reward.terminal(pre[:, n]), dtype=float)
+    ens = (pre, post, mode_of_step, g_pre)
+    cost = np.stack([_switch_costs(problem, t) for t in grid.times[:n]])
+    probe_times = sorted({0, n // 4, n // 2, (3 * n) // 4} - {n})
+    runs = []
+    for records in (solver_module._Records(mode_of_step, m), None):
+        factors = [[solver_module._Factor() for _ in range(m)] for _ in range(n)]
+        steps, below = [], np.empty((n, m, n_paths))
+        for k in range(4):
+            moved = below if records is not None else np.empty((n, m, n_paths))
+            for step in _backward_pass(problem, grid, fm, ens, [slice(0, n_paths)], 1,
+                                       below if k else None, cost, factors, probe_times, 48,
+                                       records):
+                moved[step.i] = step.moved[0]
+                steps.append(step)
+            below = moved
+        runs.append((steps, below))
+    (mine, below), (ref, ref_below) = runs
+    assert len(mine) == len(ref) == 4 * n
+    for a, b in zip(mine, ref):
+        assert a.i == b.i and a.n_empty == b.n_empty
+        for field in ("tab", "moved", "coef", "target_range"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert (a.probe_se is None) == (b.probe_se is None) == (a.i not in probe_times)
+        assert a.probe_se is None or np.array_equal(a.probe_se, b.probe_se)
+    assert np.array_equal(below, ref_below)
+
+
+@pytest.mark.parametrize("name", MAIN_PASS_INSTANCES)
+def test_levels_above_the_first_call_no_reward_and_one_reset_per_batch(name, monkeypatch):
+    _forcing_fork(monkeypatch, False)
+    problem, grid, fm, n_paths, seed, quantization = _main_pass_instance(name)
+    n, labels = grid.n_steps, problem.modes.labels
+    # The distinct post-switch batches other than the pre-switch states, per step.
+    pre = _randomized_ensemble(problem, grid, n_paths, seed, quantization)[0]
+    n_batches = 0
+    for i in range(n):
+        x, batches = pre[:, i], []
+        for b in labels:
+            xs = solver_module._moved_state(problem, b, grid.times[i], x)
+            if not any(np.array_equal(xs, seen) for seen in [x] + batches):
+                batches.append(xs)
+        n_batches += len(batches)
+    assert n_batches == {"hydro": 23, "shift": 2 * n}.get(name, 0)
+
+    counts = []  # per _backward_pass call: [groups, running calls, reset calls]
+    backward_pass = solver_module._backward_pass
+
+    def tagging(problem, grid, fm, ens, groups, *args):
+        counts.append([len(groups), 0, 0])
+        return backward_pass(problem, grid, fm, ens, groups, *args)
+
+    running, apply = problem.reward.running, problem.jump_maps.apply
+
+    def counting_running(t, x, b):
+        if counts:
+            counts[-1][1] += 1
+        return running(t, x, b)
+
+    def counting_apply(b_from, b_to, t, x):
+        if counts:
+            counts[-1][2] += 1
+        return apply(b_from, b_to, t, x)
+
+    problem = dataclasses.replace(
+        _with_running(problem, counting_running),
+        jump_maps=dataclasses.replace(problem.jump_maps, apply=counting_apply),
+    )
+    monkeypatch.setattr(solver_module, "_backward_pass", tagging)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        surf = solve(problem, grid, feature_map=fm, k_max=3, n_paths=n_paths, seed=seed,
+                     quantization=quantization)
+    main = [c[1:] for c in counts if c[0] == 1]
+    assert len(main) == surf.k_levels + 1 >= 2 and len(counts) == len(main) + 1
+    # Level 0 resets into every target mode at every step.
+    assert main[0][1] == len(labels) * n
+    assert main[1:] == [[0, n_batches]] * surf.k_levels
 
 
 def _pinned_problem(name):
@@ -526,14 +638,17 @@ def test_problem_warnings_issued_as_often_as_inline(action, monkeypatch):
     # warnings must meet the registry the main pass already filled.
     problem, grid, kwargs = _pinned_problem("hydro")
     running = problem.reward.running
+    calls = []  # per solve, the calls made in this process
 
     def warning(t, x, b):
+        calls[-1] += 1
         warnings.warn(f"running reward of mode {b}", UserWarning)
         return running(t, x, b)
 
     problem = _with_running(problem, warning)
     seen = []
     for fork in (True, False):
+        calls.append(0)
         children = _forcing_fork(monkeypatch, fork)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action)
@@ -541,9 +656,10 @@ def test_problem_warnings_issued_as_often_as_inline(action, monkeypatch):
         assert [child.used for child in children] == ([True] if fork else [])
         seen.append([(w.category, str(w.message), w.filename, w.lineno) for w in caught])
     assert seen[0] == seen[1]
-    # One per mode and the unsettled-family warning, or one per call.
-    n_shown = problem.modes.n_modes + 1
-    assert len(seen[0]) == n_shown if action == "default" else len(seen[0]) > 100 * n_shown
+    # One per mode, or one per call of the inline solve, and the
+    # unsettled-family warning.
+    n_shown = (problem.modes.n_modes if action == "default" else calls[1]) + 1
+    assert len(seen[0]) == n_shown
 
 
 def test_two_mode_deterministic_exact():
