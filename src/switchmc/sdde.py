@@ -30,10 +30,16 @@ policy's decisions) are hooks on that loop.
 
 Per-path random streams are spawned from the root seed with
 ``numpy.random.SeedSequence``, so path p's noise depends only on the
-seed and p: the first paths of a batch equal a smaller batch.  On Linux,
-in a single-threaded process with a spare CPU, a batch of at least
+seed and p: the first paths of a batch equal a smaller batch.  The loop
+over the paths makes only the calls that read each stream, into that
+path's row of the batch's raw arrays: for quantized noise the uniforms
+(increment pick, then jump flag and mark pick), for Gaussian noise the
+standard normals and the per-mark Poisson counts.  One step then
+applies the noise law to the whole batch: the cdf lookups, the jump
+mask, the mark index and the sqrt(dt) scale.  On Linux, in a
+single-threaded process with a spare CPU, a batch of at least
 ``FORK_MIN_PATHS`` paths is drawn in two halves, the second by a forked
-child straight into the batch's arrays, which are then in shared memory.
+child straight into the raw arrays, which are then in shared memory.
 Unless the child exits cleanly, without an exception or a warning, the
 second half is drawn again here, so the outputs, warnings and exceptions
 are those of an inline draw.  A hook that draws more from each stream
@@ -295,7 +301,7 @@ def _quantized_law(spec: SddeSpec, grid: TimeGrid, branching: int):
 
 
 def _draw_tables(spec: SddeSpec, grid: TimeGrid, quantization: Optional[int]):
-    """What ``_draw_one`` reads, checked and tabulated once per batch (None for Gaussian noise).
+    """What ``_noise_law`` reads, checked and tabulated once per batch (None for Gaussian noise).
 
     ``Generator.choice(k, size=n, p=w)`` draws ``c.searchsorted(random(n), side="right")``
     with c = cumsum(w) / cumsum(w)[-1], so these cdfs give the streams ``choice`` gave.
@@ -308,25 +314,63 @@ def _draw_tables(spec: SddeSpec, grid: TimeGrid, quantization: Optional[int]):
     return vals, p_jump, *cdfs
 
 
-def _draw_one(rng: np.random.Generator, spec: SddeSpec, grid: TimeGrid, tables):
+def _raw_arrays(spec: SddeSpec, grid: TimeGrid, n_paths: int, tables, shared: bool) -> tuple:
+    """The arrays ``_draw_one`` fills, one row per path; in shared memory when ``shared``.
+
+    Quantized noise: uniforms (n_paths, 1 or 3, n_steps).  Gaussian noise:
+    standard normals (n_paths, n_steps, brownian_dim) and mark counts
+    (n_paths, n_steps, n_marks), zeros without jumps.
+    """
     n = grid.n_steps
-    counts = np.zeros((n, spec.n_marks), dtype=np.int64)
+    if tables is not None:
+        return (_empty((n_paths, 1 if tables[3] is None else 3, n), float, shared),)
+    counts_shape = (n_paths, n, spec.n_marks)
+    counts = (_empty(counts_shape, np.int64, shared) if spec.jump_intensity > 0.0
+              else np.zeros(counts_shape, dtype=np.int64))
+    return _empty((n_paths, n, spec.brownian_dim), float, shared), counts
+
+
+def _draw_one(rng: np.random.Generator, spec: SddeSpec, grid: TimeGrid, raw: np.ndarray,
+              counts: Optional[np.ndarray] = None) -> None:
+    """One path's draws from its stream into its rows of the ``_raw_arrays``.
+
+    Quantized noise (no ``counts``): the uniforms that pick the increment
+    and, with jumps, those that flag a jump and pick its mark, in that
+    order.  Gaussian noise: the standard normals, then per mark a
+    Poisson count per step.
+    """
+    if counts is None:
+        rng.random(out=raw)
+        return
+    rng.standard_normal(out=raw)
+    if spec.jump_intensity > 0.0:
+        # Mark-wise thinning: independent Poisson(lam * w_k * dt) counts
+        # per mark reproduce a Poisson(lam * dt) clock with i.i.d. marks.
+        for k, w in enumerate(spec.marks.weights):
+            counts[:, k] = rng.poisson(spec.jump_intensity * w * grid.step, size=grid.n_steps)
+
+
+def _noise_law(spec: SddeSpec, grid: TimeGrid, tables, raw: np.ndarray,
+               counts: Optional[np.ndarray] = None) -> tuple:
+    """``(brownian, counts)`` of a whole batch from its ``_raw_arrays``.
+
+    Gaussian increments are the normals scaled by sqrt(dt), in place.  A
+    quantized increment is the support value its uniform picks; a step
+    whose jump uniform falls below lam * dt carries one arrival of the
+    mark its mark uniform picks, and no increment.
+    """
     if tables is None:
-        dw = rng.standard_normal((n, spec.brownian_dim)) * np.sqrt(grid.step)
-        if spec.jump_intensity > 0.0:
-            # Mark-wise thinning: independent Poisson(lam * w_k * dt) counts
-            # per mark reproduce a Poisson(lam * dt) clock with i.i.d. marks.
-            for k, w in enumerate(spec.marks.weights):
-                counts[:, k] = rng.poisson(spec.jump_intensity * w * grid.step, size=n)
-        return dw, counts
+        raw *= np.sqrt(grid.step)
+        return raw, counts
     vals, p_jump, cdf, mark_cdf = tables
-    dw = vals[cdf.searchsorted(rng.random(n), side="right")][:, None]
+    dw = vals[cdf.searchsorted(raw[:, 0], side="right")]
+    counts = np.zeros(dw.shape + (spec.n_marks,), dtype=np.int64)
     if mark_cdf is not None:
-        jumped = rng.random(n) < p_jump
-        mark = mark_cdf.searchsorted(rng.random(n), side="right")
-        counts[np.flatnonzero(jumped), mark[jumped]] = 1
+        jumped = raw[:, 1] < p_jump
+        paths, steps = np.nonzero(jumped)
+        counts[paths, steps, mark_cdf.searchsorted(raw[paths, 2, steps], side="right")] = 1
         dw[jumped] = 0.0
-    return dw, counts
+    return dw[..., None], counts
 
 
 def sample_noise(spec: SddeSpec, grid: TimeGrid, seed: int, quantization: Optional[int] = None) -> NoiseDraw:
@@ -337,26 +381,32 @@ def sample_noise(spec: SddeSpec, grid: TimeGrid, seed: int, quantization: Option
     become a single Bernoulli(lam*dt) arrival per step carrying one mark
     (the increment is zero on jump steps), matching the lattice used by the
     exact backward-induction oracle.  Identical arguments give identical
-    draws.
+    draws.  The stream is ``SeedSequence(seed)`` itself, not path 0 of a
+    batch (``SeedSequence(seed, spawn_key=(0,))``), so this draw differs
+    from path 0 of ``sample_noise_batch`` with the same seed; the law is
+    the same.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    dw, counts = _draw_one(rng, spec, grid, _draw_tables(spec, grid, quantization))
-    return NoiseDraw(brownian=dw, jump_counts=counts)
+    tables = _draw_tables(spec, grid, quantization)
+    raw = _raw_arrays(spec, grid, 1, tables, False)
+    _draw_one(np.random.default_rng(np.random.SeedSequence(seed)), spec, grid, *(a[0] for a in raw))
+    dw, counts = _noise_law(spec, grid, tables, *raw)
+    return NoiseDraw(brownian=dw[0], jump_counts=counts[0])
 
 
-def _path_values(spec: SddeSpec, grid: TimeGrid, seed: int, tables, then, p: int) -> tuple:
-    """Path p's noise, then what the hook draws from the same stream."""
-    # Child p of SeedSequence(seed).spawn(n_paths), built as the loop reaches it.
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p,)))
-    values = _draw_one(rng, spec, grid, tables)
-    return values if then is None else values + tuple(then(p, rng))
+def _stream(seed: int, p: int) -> np.random.Generator:
+    """Path p's stream: child p of ``SeedSequence(seed).spawn(n_paths)``, built on its own."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p,)))
 
 
-def _draw_paths(spec: SddeSpec, grid: TimeGrid, seed: int, tables, then, lo: int, hi: int, out: list) -> None:
-    """Draw paths [lo, hi) of a batch into those rows of the arrays in ``out``."""
-    for p in range(lo, hi):
-        for arr, v in zip(out, _path_values(spec, grid, seed, tables, then, p)):
-            arr[p] = v
+def _draw_paths(spec: SddeSpec, grid: TimeGrid, seed: int, then, lo: int, hi: int,
+                raw: tuple, extras: list) -> None:
+    """Draw paths [lo, hi) of a batch into those rows of ``raw``, the hook's values into ``extras``."""
+    for p, rows in zip(range(lo, hi), zip(*(a[lo:hi] for a in raw))):
+        rng = _stream(seed, p)
+        _draw_one(rng, spec, grid, *rows)
+        if then is not None:
+            for arr, v in zip(extras, then(p, rng)):
+                arr[p] = v
 
 
 def _noise_batch(spec: SddeSpec, grid: TimeGrid, seed: int, n_paths: int, quantization, then=None):
@@ -365,27 +415,28 @@ def _noise_batch(spec: SddeSpec, grid: TimeGrid, seed: int, n_paths: int, quanti
     ``then(p, rng)`` runs after path p's noise and returns a tuple of
     values, each of one shape and dtype for every path; they come back
     stacked over the paths after the noise arrays.
-    Path 0 is drawn first; its values shape the output arrays.  From
-    ``FORK_MIN_PATHS`` paths on, when ``_may_fork()`` holds, those arrays
-    are in shared memory and a forked child draws the second half of the
-    batch into them while this process draws the first; unless the child
-    exits cleanly this process draws both.  Each path keeps its own
-    stream, so the outputs are the same.
+    From ``FORK_MIN_PATHS`` paths on, when ``_may_fork()`` holds, the raw
+    and hook arrays are in shared memory and a forked child draws the
+    second half of the batch into them while this process draws the
+    first; unless the child exits cleanly this process draws both.  Each
+    path keeps its own stream, so the outputs are the same.
+    ``_noise_law`` then makes the noise of the whole batch at once.
     """
     tables = _draw_tables(spec, grid, quantization)
-    if n_paths == 0:
-        return (np.empty((0, grid.n_steps, spec.brownian_dim)),
-                np.empty((0, grid.n_steps, spec.n_marks), dtype=np.int64))
-    first = [np.asarray(v) for v in _path_values(spec, grid, seed, tables, then, 0)]
     fork = n_paths >= FORK_MIN_PATHS and _may_fork()
-    out = [_empty((n_paths,) + v.shape, v.dtype, fork) for v in first]
-    for arr, v in zip(out, first):
-        arr[0] = v
-    half = max(n_paths // 2, 1)  # path 0 is drawn already
-    with _Child.beside(fork, _draw_paths, spec, grid, seed, tables, then, half, n_paths, out) as second_half:
-        _draw_paths(spec, grid, seed, tables, then, 1, half, out)
+    raw = _raw_arrays(spec, grid, n_paths, tables, fork)
+    extras, lo = [], int(then is not None and n_paths > 0)
+    if lo:  # path 0's hook values shape the arrays the other paths fill
+        rng = _stream(seed, 0)
+        _draw_one(rng, spec, grid, *(a[0] for a in raw))
+        for v in map(np.asarray, then(0, rng)):
+            extras.append(_empty((n_paths,) + v.shape, v.dtype, fork))
+            extras[-1][0] = v
+    half = max(n_paths // 2, lo)
+    with _Child.beside(fork, _draw_paths, spec, grid, seed, then, half, n_paths, raw, extras) as second_half:
+        _draw_paths(spec, grid, seed, then, lo, half, raw, extras)
         second_half()
-    return tuple(out)
+    return _noise_law(spec, grid, tables, *raw) + tuple(extras)
 
 
 def sample_noise_batch(spec: SddeSpec, grid: TimeGrid, seed: int, n_paths: int, quantization: Optional[int] = None):

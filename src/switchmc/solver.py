@@ -389,7 +389,8 @@ def _level_values(problem, fm, t, dt, x, yv, A, coef, target_range, below, cost,
         for rows, c, r in zip(groups, coef[:, b - 1], target_range[:, b - 1]):
             out = side[:, b - 1, rows]
             np.einsum("np,lp->ln", D[rows], c, out=out)
-            np.clip(out, r[:, :1], r[:, 1:], out=out)
+            np.maximum(out, r[:, :1], out=out)  # np.clip, without its Python wrappers
+            np.minimum(out, r[:, 1:], out=out)
         side[:, b - 1] += run_b
 
     for b in labels:
@@ -610,7 +611,9 @@ class ValueSurface:
         run = self.grid.step * np.asarray(
             self.problem.reward.running(self.grid.times[i], x, b), dtype=float
         )
-        return run + np.clip(np.einsum("np,p->n", A, self.coef[i, b - 1, k]), lo, hi)
+        fit = np.einsum("np,p->n", A, self.coef[i, b - 1, k])
+        np.maximum(fit, lo, out=fit)
+        return run + np.minimum(fit, hi, out=fit)
 
     @property
     def y0(self) -> float:
@@ -639,9 +642,13 @@ def _randomized_ensemble(problem: SwitchingProblem, grid: TimeGrid, n_paths: int
     m = modes.n_modes
     n = grid.n_steps
 
+    # With two modes there is one other mode to pick, and
+    # rng.integers(0, 1) reads nothing from the stream.
+    no_pick = np.zeros(n, dtype=np.int64)
+
     def mode_draws(p, rng):
         return (rng.random(), rng.integers(0, m), rng.random(n),
-                rng.integers(0, max(m - 1, 1), size=n))
+                rng.integers(0, m - 1, size=n) if m > 2 else no_pick)
 
     dw, counts, u_start, pick_start, u_switch, pick_switch = _noise_batch(
         spec, grid, seed, n_paths, quantization, then=mode_draws

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from switchmc import sdde as sdde_module
+from switchmc import solver as solver_module
 from switchmc.controls import SwitchingControl
-from switchmc.families import gbm_spec, two_mode_flow_problem
+from switchmc.families import gbm_spec, random_tree_problem, two_mode_flow_problem
 from switchmc.sdde import (
     DivergedError,
     MarkDistribution,
@@ -27,8 +28,6 @@ from switchmc.sdde import (
     sample_noise_batch,
     simulate_batch,
     simulate_path,
-    _draw_one,
-    _draw_tables,
     _noise_batch,
 )
 
@@ -166,11 +165,46 @@ def test_batch_prefix_equals_smaller_batch(quantization):
         assert np.array_equal(whole[:40], part)
 
 
-@pytest.mark.parametrize("quantization", [None, 2])
-def test_batch_streams_are_the_spawned_children(quantization):
+def per_path_recipe(rng, spec, grid, quantization):
+    """One path of noise, drawn and shaped one call at a time as a path's own stream would be."""
+    n, dt = grid.n_steps, grid.step
+    counts = np.zeros((n, spec.n_marks), dtype=np.int64)
+    if quantization is None:
+        dw = rng.standard_normal((n, spec.brownian_dim)) * np.sqrt(dt)
+        if spec.jump_intensity > 0.0:
+            for k, w in enumerate(spec.marks.weights):
+                counts[:, k] = rng.poisson(spec.jump_intensity * w * dt, size=n)
+        return dw, counts
+    if quantization == 2:
+        vals, probs = np.array([-1.0, 1.0]) * np.sqrt(dt), np.array([0.5, 0.5])
+    else:
+        vals, probs = np.array([-1.0, 0.0, 1.0]) * np.sqrt(3.0 * dt), np.array([1.0, 4.0, 1.0]) / 6.0
+    cdf = np.cumsum(probs) / np.cumsum(probs)[-1]
+    dw = vals[cdf.searchsorted(rng.random(n), side="right")][:, None]
+    if spec.jump_intensity > 0.0:
+        w = spec.marks.weights
+        jumped = rng.random(n) < spec.jump_intensity * dt
+        mark = (np.cumsum(w) / np.cumsum(w)[-1]).searchsorted(rng.random(n), side="right")
+        counts[np.flatnonzero(jumped), mark[jumped]] = 1
+        dw[jumped] = 0.0
+    return dw, counts
+
+
+STREAM_CASES = [
+    pytest.param(two_mark_spec(), None, id="None"),
+    pytest.param(two_mark_spec(), 2, id="2"),
+    pytest.param(two_mark_spec(), 3, id="3"),
+    # Marks declared but no jump clock: the counts keep their columns, all zero.
+    pytest.param(dataclasses.replace(two_mark_spec(), jump_intensity=0.0), None, id="None-jump-free"),
+    pytest.param(dataclasses.replace(two_mark_spec(), jump_intensity=0.0), 2, id="2-jump-free"),
+    pytest.param(dataclasses.replace(two_mark_spec(), jump_intensity=0.0), 3, id="3-jump-free"),
+]
+
+
+@pytest.mark.parametrize("spec, quantization", STREAM_CASES)
+def test_batch_streams_are_the_spawned_children(spec, quantization):
     # Path p draws from child p of SeedSequence(seed).spawn(n_paths): its
     # noise first, then whatever the hook reads from the same stream.
-    spec = two_mark_spec()
     grid = TimeGrid(1.0, 8)
     seen = {}  # 50 paths stay below FORK_MIN_PATHS, so the hook runs here
 
@@ -179,10 +213,11 @@ def test_batch_streams_are_the_spawned_children(quantization):
         return (rng.random(3),)
 
     dw, counts, extras = _noise_batch(spec, grid, 23, 50, quantization, then=then)
-    tables = _draw_tables(spec, grid, quantization)
+    assert (dw.dtype, counts.dtype, counts.shape) == (float, np.int64, (50, 8, 2))
+    assert (counts.sum() > 0) == (spec.jump_intensity > 0.0)
     for p, child in enumerate(np.random.SeedSequence(23).spawn(50)):
         rng = np.random.default_rng(child)
-        ref_dw, ref_counts = _draw_one(rng, spec, grid, tables)
+        ref_dw, ref_counts = per_path_recipe(rng, spec, grid, quantization)
         seq = seen[p]
         assert (seq.entropy, seq.spawn_key, seq.pool_size) == (
             child.entropy, child.spawn_key, child.pool_size
@@ -213,6 +248,39 @@ def _assert_no_child_left():
 
 def _mode_draws(p, rng):
     return rng.random(), rng.integers(0, 3), rng.random(8), rng.integers(0, 2, size=8)
+
+
+@pytest.mark.parametrize("fork", [True, False])
+@pytest.mark.parametrize("n_modes, quantization", [(2, 2), (3, 3)])
+def test_ensemble_draws_each_path_from_its_own_stream(n_modes, quantization, fork, monkeypatch):
+    # Each path's noise by the per-path recipe, then its mode draws as
+    # one call each, the pick of another mode included (with two modes
+    # that pick reads nothing from the stream).
+    problem, grid = random_tree_problem(seed=101 + n_modes, n_modes=n_modes, levels=4, with_jumps=True)
+    n, m = grid.n_steps, n_modes
+    n_paths = sdde_module.FORK_MIN_PATHS + 1
+    children = _forcing_fork(monkeypatch, fork)
+    ensemble = solver_module._randomized_ensemble(problem, grid, n_paths, 7, quantization)
+    assert len(children) == int(fork)
+    _assert_no_child_left()
+
+    def recipe_batch(spec, grid, seed, n_paths, quantization, then):
+        per_path = []
+        for child in np.random.SeedSequence(seed).spawn(n_paths):
+            rng = np.random.default_rng(child)
+            per_path.append(per_path_recipe(rng, spec, grid, quantization) + (
+                rng.random(), rng.integers(0, m), rng.random(n),
+                rng.integers(0, max(m - 1, 1), size=n)))
+        return tuple(np.array(v) for v in zip(*per_path))
+
+    monkeypatch.setattr(solver_module, "_noise_batch", recipe_batch)
+    reference = solver_module._randomized_ensemble(problem, grid, n_paths, 7, quantization)
+    pre, post, mode_of_step, delay = ensemble
+    assert len(np.unique(mode_of_step)) == m and np.any(mode_of_step[:, 1:] != mode_of_step[:, :-1])
+    for got, ref in zip((pre, post, mode_of_step), reference[:3]):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+    assert delay == reference[3]
 
 
 @pytest.mark.parametrize(
