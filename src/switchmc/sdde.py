@@ -70,17 +70,13 @@ __all__ = [
     "TimeGrid",
     "MarkDistribution",
     "SddeSpec",
-    "NoiseDraw",
     "Path",
     "SimulationError",
     "OffGridError",
     "DivergedError",
-    "sample_noise",
     "sample_noise_batch",
     "euler_increment",
-    "simulate_path",
     "simulate_batch",
-    "estimate_moment",
     "path_to_csv",
 ]
 
@@ -248,18 +244,6 @@ class SddeSpec:
 
 
 @dataclass(frozen=True)
-class NoiseDraw:
-    """One path worth of driving noise.
-
-    ``brownian`` has shape (n_steps, brownian_dim); ``jump_counts`` has
-    shape (n_steps, n_marks) and counts arrivals of each mark per step.
-    """
-
-    brownian: np.ndarray
-    jump_counts: np.ndarray
-
-
-@dataclass(frozen=True)
 class Path:
     """Simulated trajectory on the grid.
 
@@ -373,26 +357,6 @@ def _noise_law(spec: SddeSpec, grid: TimeGrid, tables, raw: np.ndarray,
     return dw[..., None], counts
 
 
-def sample_noise(spec: SddeSpec, grid: TimeGrid, seed: int, quantization: Optional[int] = None) -> NoiseDraw:
-    """Draw the driving noise for one path.
-
-    With ``quantization`` set to 2 or 3 the Brownian increments take the
-    two-point (+-sqrt(dt)) or three-point Gauss-Hermite values and jumps
-    become a single Bernoulli(lam*dt) arrival per step carrying one mark
-    (the increment is zero on jump steps), matching the lattice used by the
-    exact backward-induction oracle.  Identical arguments give identical
-    draws.  The stream is ``SeedSequence(seed)`` itself, not path 0 of a
-    batch (``SeedSequence(seed, spawn_key=(0,))``), so this draw differs
-    from path 0 of ``sample_noise_batch`` with the same seed; the law is
-    the same.
-    """
-    tables = _draw_tables(spec, grid, quantization)
-    raw = _raw_arrays(spec, grid, 1, tables, False)
-    _draw_one(np.random.default_rng(np.random.SeedSequence(seed)), spec, grid, *(a[0] for a in raw))
-    dw, counts = _noise_law(spec, grid, tables, *raw)
-    return NoiseDraw(brownian=dw[0], jump_counts=counts[0])
-
-
 def _stream(seed: int, p: int) -> np.random.Generator:
     """Path p's stream: child p of ``SeedSequence(seed).spawn(n_paths)``, built on its own."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p,)))
@@ -445,6 +409,11 @@ def sample_noise_batch(spec: SddeSpec, grid: TimeGrid, seed: int, n_paths: int, 
     Returns ``(brownian, counts)`` with shapes (n_paths, n_steps,
     brownian_dim) and (n_paths, n_steps, n_marks).  Path p's noise depends
     only on ``seed`` and p, so a batch's first paths equal a smaller batch.
+    With ``quantization`` set to 2 or 3 the Brownian increments take the
+    two-point (+-sqrt(dt)) or three-point Gauss-Hermite values and jumps
+    become a single Bernoulli(lam*dt) arrival per step carrying one mark
+    (the increment is zero on jump steps), the law of the exact oracle's
+    lattice.
     """
     return _noise_batch(spec, grid, seed, n_paths, quantization)
 
@@ -579,7 +548,13 @@ def simulate_batch(
         Post-switch states at every grid point.
     modes : ndarray, shape (n_steps + 1,)
         Mode on [t_i, t_{i+1}); last entry is the mode at the horizon.
+
+    An empty batch raises ValueError, and so do switch times that
+    decrease; a switch time off the grid raises OffGridError, and a
+    non-finite or out-of-bound state DivergedError carrying the step index.
     """
+    if brownian.shape[0] < 1:
+        raise ValueError(f"simulate_batch needs at least one path, got n_paths = {brownian.shape[0]}")
     schedule = _switch_schedule(grid, control)
 
     def switch(i, x, y, mode):
@@ -591,54 +566,7 @@ def simulate_batch(
 
     mode = np.full(brownian.shape[0], int(initial_mode), dtype=np.int64)
     states, modes = _simulate(spec, grid, mode, brownian, jump_counts, switch)
-    return states, modes[0]
-
-
-def simulate_path(
-    spec: SddeSpec,
-    grid: TimeGrid,
-    control,
-    noise: NoiseDraw,
-    switch_map: Optional[Callable] = None,
-    initial_mode: int = 1,
-) -> Path:
-    """Simulate a single path from an explicit noise draw.
-
-    Pure function of its arguments: the same spec, grid, control and draw
-    give the identical path.  Switch times must sit on the grid, in
-    order (OffGridError, ValueError otherwise); a non-finite or
-    out-of-bound state raises DivergedError carrying the step index.
-    """
-    states, modes = simulate_batch(
-        spec,
-        grid,
-        control,
-        noise.brownian[None, ...],
-        noise.jump_counts[None, ...],
-        switch_map=switch_map,
-        initial_mode=initial_mode,
-    )
-    return Path(grid=grid, states=states[0], presegment=spec.presegment(grid), modes=modes)
-
-
-def estimate_moment(
-    spec: SddeSpec,
-    grid: TimeGrid,
-    control,
-    p: float,
-    n_paths: int,
-    seed: int,
-    switch_map: Optional[Callable] = None,
-    initial_mode: int = 1,
-    quantization: Optional[int] = None,
-):
-    """Monte Carlo estimate of E[sup_t |X_t|^p] with its standard error."""
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
-    dw, counts = sample_noise_batch(spec, grid, seed, n_paths, quantization)
-    states, _ = simulate_batch(spec, grid, control, dw, counts, switch_map, initial_mode)
-    sup = np.linalg.norm(states, axis=2).max(axis=1)
-    return _mean_se(sup**p)
+    return states, modes[0].copy()  # not a view that keeps every path's record alive
 
 
 def _mean_se(values: np.ndarray) -> tuple:

@@ -15,7 +15,7 @@ from switchmc.families import (
 )
 from switchmc import oracle
 from switchmc.oracle import build_lattice, enumerate_controls, exact_dp
-from switchmc.sdde import euler_increment, sample_noise, sample_noise_batch
+from switchmc.sdde import euler_increment, sample_noise_batch
 from switchmc.solver import solve
 
 
@@ -65,7 +65,6 @@ def test_sampler_and_lattice_reject_the_same_inputs(case):
     calls = [
         lambda: sample_noise_batch(bad.dynamics, grid, seed=0, n_paths=0, quantization=2),
         lambda: sample_noise_batch(bad.dynamics, grid, seed=0, n_paths=5, quantization=3),
-        lambda: sample_noise(bad.dynamics, grid, seed=0, quantization=2),
         lambda: solve(bad, grid, n_paths=50, seed=0, quantization=2),
         lambda: build_lattice(bad, grid, branching=2),
     ]

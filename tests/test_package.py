@@ -3,11 +3,12 @@
 import switchmc
 from switchmc import config, controls, hydro, oracle, sdde, snell, solver
 
-# The names the package exported before the module lists became the only source.
+# The names the package exported before the module lists became the only source,
+# less the single-path simulation API (REMOVED), which the batch replaces.
 EXPORTED = [
-    "TimeGrid", "MarkDistribution", "SddeSpec", "NoiseDraw", "Path", "SimulationError",
-    "OffGridError", "DivergedError", "sample_noise", "sample_noise_batch", "euler_increment",
-    "simulate_path", "simulate_batch", "estimate_moment", "path_to_csv", "ModeSet",
+    "TimeGrid", "MarkDistribution", "SddeSpec", "Path", "SimulationError", "OffGridError",
+    "DivergedError", "sample_noise_batch", "euler_increment", "simulate_batch", "path_to_csv",
+    "ModeSet",
     "SwitchingControl", "SwitchingCostModel", "JumpMapFamily", "RewardSpec", "SwitchingProblem",
     "ValidationReport", "validate_control", "validate_no_free_loop", "validate_terminal_no_switch",
     "validate_cycle_reduction", "validate_target_only", "evaluate_reward", "ScenarioTree",
@@ -20,6 +21,7 @@ EXPORTED = [
     "reservoir_marginals", "ConfigError", "RunConfig", "SolverSettings", "load_config",
     "parse_config", "__version__",
 ]
+REMOVED = ["NoiseDraw", "sample_noise", "simulate_path", "estimate_moment"]
 
 
 def test_public_names_are_the_module_lists():
@@ -30,5 +32,7 @@ def test_public_names_are_the_module_lists():
     for module in modules:
         for name in module.__all__:
             assert getattr(switchmc, name) is getattr(module, name)
-    assert len(EXPORTED) == 64
+    assert len(EXPORTED) == 60
     assert set(EXPORTED) <= set(switchmc.__all__)
+    for name in REMOVED:
+        assert not hasattr(switchmc, name) and not hasattr(sdde, name)

@@ -17,17 +17,13 @@ from switchmc.families import gbm_spec, random_tree_problem, two_mode_flow_probl
 from switchmc.sdde import (
     DivergedError,
     MarkDistribution,
-    NoiseDraw,
     OffGridError,
     Path,
     SddeSpec,
     TimeGrid,
-    estimate_moment,
     path_to_csv,
-    sample_noise,
     sample_noise_batch,
     simulate_batch,
-    simulate_path,
     _noise_batch,
 )
 
@@ -40,6 +36,12 @@ def flat_spec(x0=1.0, dim=1):
         diffusion=lambda t, x, y, mode: np.zeros_like(x)[..., None],
         initial_segment=lambda s: x0_arr,
     )
+
+
+def simulate_one(spec, grid, control, noise, **kwargs) -> Path:
+    """The path of a one-path batch, built as the CLI builds its sample paths."""
+    states, modes = simulate_batch(spec, grid, control, *noise, **kwargs)
+    return Path(grid=grid, states=states[0], presegment=spec.presegment(grid), modes=modes)
 
 
 def test_grid_basics():
@@ -146,12 +148,6 @@ def test_quantized_stream_matches_generator_choice(quantization):
         assert np.array_equal(dw[p], ref_dw)
         assert np.array_equal(counts[p], ref_counts)
     assert counts.sum() > 0 and np.all(counts.sum(axis=2) <= 1)
-    one = sample_noise(spec, grid, seed=17, quantization=quantization)
-    ref_dw, ref_counts = choice_reference(
-        spec, grid, np.random.default_rng(np.random.SeedSequence(17)), quantization
-    )
-    assert np.array_equal(one.brownian, ref_dw)
-    assert np.array_equal(one.jump_counts, ref_counts)
 
 
 @pytest.mark.parametrize("quantization", [None, 2])
@@ -397,15 +393,15 @@ def test_diverged_error_survives_pickling():
 def test_noise_determinism_and_zero_intensity():
     spec = gbm_spec()
     grid = TimeGrid(1.0, 16)
-    a = sample_noise(spec, grid, seed=42)
-    b = sample_noise(spec, grid, seed=42)
-    assert np.array_equal(a.brownian, b.brownian)
-    assert np.array_equal(a.jump_counts, b.jump_counts)
-    assert a.brownian.shape == (16, 1)
-    assert a.jump_counts.shape[0] == 16
-    assert np.all(a.jump_counts == 0)
-    c = sample_noise(spec, grid, seed=43)
-    assert not np.array_equal(a.brownian, c.brownian)
+    a_dw, a_counts = sample_noise_batch(spec, grid, seed=42, n_paths=1)
+    b_dw, b_counts = sample_noise_batch(spec, grid, seed=42, n_paths=1)
+    assert np.array_equal(a_dw, b_dw)
+    assert np.array_equal(a_counts, b_counts)
+    assert a_dw.shape == (1, 16, 1)
+    assert a_counts.shape[:2] == (1, 16)
+    assert np.all(a_counts == 0)
+    c_dw, _ = sample_noise_batch(spec, grid, seed=43, n_paths=1)
+    assert not np.array_equal(a_dw, c_dw)
 
 
 def test_poisson_count_mean():
@@ -450,8 +446,8 @@ def test_quantized_noise_support():
 def test_constant_path_zero_coefficients():
     spec = flat_spec(x0=1.5)
     grid = TimeGrid(1.0, 12)
-    noise = sample_noise(spec, grid, seed=7)
-    path = simulate_path(spec, grid, SwitchingControl.empty(), noise)
+    noise = sample_noise_batch(spec, grid, seed=7, n_paths=1)
+    path = simulate_one(spec, grid, SwitchingControl.empty(), noise)
     assert np.all(path.states == 1.5)
     assert np.all(path.modes == 1)
 
@@ -476,8 +472,8 @@ def delayed_ode_closed_form(t: np.ndarray) -> np.ndarray:
 def delayed_ode_max_error(n_steps: int) -> float:
     spec = delayed_ode_spec()
     grid = TimeGrid(2.0, n_steps)
-    noise = sample_noise(spec, grid, seed=0)
-    path = simulate_path(spec, grid, SwitchingControl.empty(), noise)
+    noise = sample_noise_batch(spec, grid, seed=0, n_paths=1)
+    path = simulate_one(spec, grid, SwitchingControl.empty(), noise)
     exact = delayed_ode_closed_form(grid.times)
     return float(np.max(np.abs(path.states[:, 0] - exact)))
 
@@ -488,7 +484,7 @@ def test_delayed_ode_closed_form():
     assert err <= 5.0 * (2.0 / n)
     grid = TimeGrid(2.0, n)
     spec = delayed_ode_spec()
-    path = simulate_path(spec, grid, SwitchingControl.empty(), sample_noise(spec, grid, seed=0))
+    path = simulate_one(spec, grid, SwitchingControl.empty(), sample_noise_batch(spec, grid, 0, 1))
     assert abs(path.states[-1, 0] - (-0.5)) < 0.02
 
 
@@ -503,8 +499,8 @@ def test_switch_jump_map_halves_state():
     spec = flat_spec(x0=2.0)
     grid = TimeGrid(1.0, 4)
     control = SwitchingControl(times=(0.5,), modes=(2,))
-    noise = sample_noise(spec, grid, seed=0)
-    path = simulate_path(
+    noise = sample_noise_batch(spec, grid, seed=0, n_paths=1)
+    path = simulate_one(
         spec, grid, control, noise, switch_map=lambda bf, bt, t, x: 0.5 * x, initial_mode=1
     )
     assert np.all(path.states[:2, 0] == 2.0)
@@ -520,25 +516,19 @@ def test_composed_switches_at_one_instant():
     def switch_map(bf, bt, t, x):
         return x + 10.0 ** (bt - 1)
 
-    path = simulate_path(spec, grid, control, sample_noise(spec, grid, seed=0), switch_map=switch_map)
+    path = simulate_one(spec, grid, control, sample_noise_batch(spec, grid, 0, 1), switch_map=switch_map)
     assert path.states[1, 0] == 1.0 + 10.0 + 100.0
     assert path.modes[1] == 3
 
 
-@pytest.mark.parametrize("entry", ["simulate_batch", "simulate_path", "estimate_moment"])
-def test_decreasing_switch_times_rejected(entry):
+def test_decreasing_switch_times_rejected():
     # validate_control refuses this control; the simulator must not run it.
     problem, grid = two_mode_flow_problem(n_steps=4)
     spec = problem.dynamics
     control = SwitchingControl((0.5, 0.25), (2, 1))
     dw, counts = sample_noise_batch(spec, grid, 0, 2)
-    calls = {
-        "simulate_batch": lambda: simulate_batch(spec, grid, control, dw, counts),
-        "simulate_path": lambda: simulate_path(spec, grid, control, sample_noise(spec, grid, seed=0)),
-        "estimate_moment": lambda: estimate_moment(spec, grid, control, 2.0, 4, seed=0),
-    }
     with pytest.raises(ValueError, match="switch times must not decrease"):
-        calls[entry]()
+        simulate_batch(spec, grid, control, dw, counts)
 
 
 def test_off_grid_switch_rejected():
@@ -546,7 +536,7 @@ def test_off_grid_switch_rejected():
     grid = TimeGrid(1.0, 4)
     control = SwitchingControl(times=(0.33,), modes=(2,))
     with pytest.raises(OffGridError):
-        simulate_path(spec, grid, control, sample_noise(spec, grid, seed=0))
+        simulate_one(spec, grid, control, sample_noise_batch(spec, grid, 0, 1))
 
 
 def test_zero_delay_reads_current_state():
@@ -564,9 +554,9 @@ def test_zero_delay_reads_current_state():
         diffusion=lambda t, x, y, mode: (0.2 * np.ones_like(x))[..., None],
         initial_segment=lambda s: seg,
     )
-    noise = sample_noise(spec_y, grid, seed=11)
-    pa = simulate_path(spec_y, grid, SwitchingControl.empty(), noise)
-    pb = simulate_path(spec_x, grid, SwitchingControl.empty(), noise)
+    noise = sample_noise_batch(spec_y, grid, seed=11, n_paths=1)
+    pa = simulate_one(spec_y, grid, SwitchingControl.empty(), noise)
+    pb = simulate_one(spec_x, grid, SwitchingControl.empty(), noise)
     assert np.array_equal(pa.states, pb.states)
 
 
@@ -579,20 +569,51 @@ def test_divergence_guard_reports_step():
     )
     grid = TimeGrid(1.0, 4)
     with pytest.raises(DivergedError) as excinfo:
-        simulate_path(spec, grid, SwitchingControl.empty(), sample_noise(spec, grid, seed=0))
+        simulate_one(spec, grid, SwitchingControl.empty(), sample_noise_batch(spec, grid, 0, 1))
     assert excinfo.value.step == 1
 
 
 def test_batch_matches_single_paths():
-    spec = gbm_spec()
+    # A path does not depend on its batch: with a delay, Gaussian noise
+    # with jump marks and scheduled switches through a state reset, each
+    # row of a batch equals the one-path batch of its own noise.
+    spec = dataclasses.replace(
+        two_mark_spec(), drift=lambda t, x, y, mode: 0.3 * mode - 0.5 * x + 0.2 * y, delay=0.25
+    )
     grid = TimeGrid(1.0, 16)
+    control = SwitchingControl(times=(0.25, 0.75), modes=(2, 3))
+
+    def switch_map(bf, bt, t, x):
+        return 0.5 * x + bt - bf
+
     dw, counts = sample_noise_batch(spec, grid, seed=3, n_paths=5)
-    states, modes = simulate_batch(spec, grid, SwitchingControl.empty(), dw, counts)
+    assert counts.sum() > 0
+    states, modes = simulate_batch(spec, grid, control, dw, counts, switch_map=switch_map)
+    assert list(modes) == [1] * 4 + [2] * 8 + [3] * 5
     for p in range(5):
-        noise = NoiseDraw(brownian=dw[p], jump_counts=counts[p])
-        single = simulate_path(spec, grid, SwitchingControl.empty(), noise)
-        assert np.array_equal(single.states, states[p])
-        assert np.array_equal(single.modes, modes)
+        single, single_modes = simulate_batch(
+            spec, grid, control, dw[p:p + 1], counts[p:p + 1], switch_map=switch_map
+        )
+        assert np.array_equal(single[0], states[p])
+        assert np.array_equal(single_modes, modes)
+
+
+def test_the_mode_record_owns_its_data():
+    # A view of the per-path record would keep every path's modes alive.
+    spec = flat_spec()
+    grid = TimeGrid(1.0, 4)
+    dw, counts = sample_noise_batch(spec, grid, seed=0, n_paths=3)
+    _, modes = simulate_batch(spec, grid, SwitchingControl(times=(0.5,), modes=(2,)), dw, counts)
+    assert modes.base is None
+    assert list(modes) == [1, 1, 2, 2, 2]
+
+
+def test_an_empty_batch_is_refused_before_the_loop():
+    spec = flat_spec()
+    grid = TimeGrid(1.0, 4)
+    dw, counts = sample_noise_batch(spec, grid, seed=0, n_paths=0)
+    with pytest.raises(ValueError, match="n_paths = 0"):
+        simulate_batch(spec, grid, SwitchingControl.empty(), dw, counts)
 
 
 def test_compensated_jumps_are_mean_neutral():
@@ -615,16 +636,24 @@ def test_compensated_jumps_are_mean_neutral():
     assert abs(terminal.mean()) <= 4.0 * se + 1e-12
 
 
+def sup_moment(spec, grid, p, n_paths, seed):
+    """E[sup_t |X_t|^p] of uncontrolled paths, with its standard error."""
+    dw, counts = sample_noise_batch(spec, grid, seed, n_paths)
+    states, _ = simulate_batch(spec, grid, None, dw, counts)
+    sup = np.linalg.norm(states, axis=2).max(axis=1) ** p
+    return float(sup.mean()), float(sup.std(ddof=1) / np.sqrt(n_paths))
+
+
 def test_estimate_moment_constant():
-    est, se = estimate_moment(flat_spec(x0=2.0), TimeGrid(1.0, 8), None, p=4.0, n_paths=100, seed=0)
+    est, se = sup_moment(flat_spec(x0=2.0), TimeGrid(1.0, 8), p=4.0, n_paths=100, seed=0)
     assert est == 16.0
     assert se == 0.0
 
 
 def test_estimate_moment_refinement_stability():
     spec = gbm_spec()
-    est_a, se_a = estimate_moment(spec, TimeGrid(1.0, 64), None, p=2.0, n_paths=10_000, seed=1)
-    est_b, se_b = estimate_moment(spec, TimeGrid(1.0, 128), None, p=2.0, n_paths=10_000, seed=2)
+    est_a, se_a = sup_moment(spec, TimeGrid(1.0, 64), p=2.0, n_paths=10_000, seed=1)
+    est_b, se_b = sup_moment(spec, TimeGrid(1.0, 128), p=2.0, n_paths=10_000, seed=2)
     assert np.isfinite(est_a) and np.isfinite(est_b)
     assert abs(est_a - est_b) <= 3.0 * float(np.hypot(se_a, se_b))
 
@@ -665,9 +694,9 @@ def test_stability_under_switching():
         control = SwitchingControl(times=times, modes=modes)
         base = make_spec(0.0)
         pert = make_spec(eps)
-        noise = sample_noise(base, grid, seed=4)
-        pa = simulate_path(base, grid, control, noise)
-        pb = simulate_path(pert, grid, control, noise)
+        noise = sample_noise_batch(base, grid, seed=4, n_paths=1)
+        pa = simulate_one(base, grid, control, noise)
+        pb = simulate_one(pert, grid, control, noise)
         ratios.append(float(np.max(np.abs(pa.states - pb.states))) / eps)
     assert all(r <= 5.0 for r in ratios)
     assert max(ratios) <= 2.0 * min(ratios) + 1e-9
@@ -676,7 +705,7 @@ def test_stability_under_switching():
 def test_path_csv_layout():
     spec = delayed_ode_spec()
     grid = TimeGrid(2.0, 8)
-    path = simulate_path(spec, grid, SwitchingControl.empty(), sample_noise(spec, grid, seed=0))
+    path = simulate_one(spec, grid, SwitchingControl.empty(), sample_noise_batch(spec, grid, 0, 1))
     buf = io.StringIO()
     path_to_csv(path, buf)
     lines = buf.getvalue().strip().split("\n")
@@ -690,7 +719,7 @@ def test_path_csv_layout():
 def test_lookback_resolves_presegment():
     spec = delayed_ode_spec()
     grid = TimeGrid(2.0, 8)
-    path = simulate_path(spec, grid, SwitchingControl.empty(), sample_noise(spec, grid, seed=0))
+    path = simulate_one(spec, grid, SwitchingControl.empty(), sample_noise_batch(spec, grid, 0, 1))
     assert path.delay_steps == 4
     assert np.all(path.lookback(0) == 1.0)
     assert np.array_equal(path.lookback(6), path.states[2])
