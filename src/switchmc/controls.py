@@ -401,23 +401,32 @@ def validate_target_only(
     )
 
 
-def _path_totals(problem: SwitchingProblem, grid: TimeGrid, states, modes, costs,
-                 terminal=None) -> np.ndarray:
+def _add_running(problem: SwitchingProblem, grid: TimeGrid, i: int, x, mode, total) -> None:
+    """Add each path's running reward over [t_i, t_{i+1}) at its states ``x`` and ``mode`` to ``total``.
+
+    Mode groups come in ``np.unique`` order; a per-path total summed
+    instant by instant, in ascending order, is the same float however the
+    instants are spread over the caller's loop.
+    """
+    for b in np.unique(mode):
+        sel = mode == b
+        total[sel] += grid.step * np.asarray(
+            problem.reward.running(grid.times[i], x[sel], int(b)), dtype=float
+        )
+
+
+def _path_totals(problem: SwitchingProblem, grid: TimeGrid, states, modes, costs) -> np.ndarray:
     """Each path's running rewards at left endpoints, plus its terminal reward, minus ``costs``.
 
-    ``terminal`` is the terminal reward at the horizon states if the caller has it.
+    ``states`` and ``modes`` are whole records, (n_paths, n_steps + 1, dim)
+    and (n_paths, n_steps + 1); the running rewards are added by
+    ``_add_running``, as ``certify`` adds them during its forward loop.
     """
     n = grid.n_steps
     total = np.zeros(states.shape[0])
     for i in range(n):
-        for b in np.unique(modes[:, i]):
-            sel = modes[:, i] == b
-            total[sel] += grid.step * np.asarray(
-                problem.reward.running(grid.times[i], states[sel, i], int(b)), dtype=float
-            )
-    if terminal is None:
-        terminal = np.asarray(problem.reward.terminal(states[:, n]), dtype=float)
-    total += terminal
+        _add_running(problem, grid, i, states[:, i], modes[:, i], total)
+    total += np.asarray(problem.reward.terminal(states[:, n]), dtype=float)
     return total - costs
 
 
@@ -441,8 +450,10 @@ def evaluate_reward(
 
     Running rewards at left endpoints, the terminal reward at the
     post-switch horizon state and any history reward, less the exact
-    switch costs, are summed per path by ``_path_totals``, as in
-    ``certify``.  Inadmissible controls and non-finite totals raise ValueError.
+    switch costs, are summed per path by ``_path_totals`` from the whole
+    record of states, which ``history_reward`` reads; ``certify`` adds
+    the same running rewards, in the same order, as its forward loop goes.
+    Inadmissible controls and non-finite totals raise ValueError.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")

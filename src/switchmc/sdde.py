@@ -20,7 +20,8 @@ for the drift and jump coefficient and ``(n_paths, dim, brownian_dim)`` for
 the diffusion.
 
 The forward loop is written once, in ``_simulate``.  It owns the path
-and mode buffers, hands each instant's states, their lookback (read by
+and mode records, or writes into a window of the last instants that the
+caller sizes, hands each instant's states, their lookback (read by
 ``_lookback``) and the per-path modes to a switch hook, and advances the
 batch with one ``euler_increment`` call per mode group.  Every state a
 path holds at t_i, after any switch there, is checked against divergence
@@ -458,19 +459,19 @@ def _check_state(x: np.ndarray, step: int) -> None:
 
 
 def _lookback(buffer: np.ndarray, presegment: np.ndarray, i: int) -> np.ndarray:
-    """States at t_i minus the delay, read from a (n_paths, n_steps + 1, dim) buffer.
+    """States at t_i minus the delay, read from a (n_paths, r, dim) buffer whose row i % r holds t_i.
 
     The delay in steps is ``presegment.shape[0]``; before the delay has
     elapsed the initial segment supplies the value.
     """
     j = i - presegment.shape[0]
     if j >= 0:
-        return buffer[:, j]
-    return np.broadcast_to(presegment[i], buffer[:, i].shape)
+        return buffer[:, j % buffer.shape[1]]
+    return np.broadcast_to(presegment[i], buffer[:, 0].shape)
 
 
 def _simulate(spec: SddeSpec, grid: TimeGrid, mode: np.ndarray, brownian: np.ndarray,
-              jump_counts: np.ndarray, switch: Callable) -> tuple:
+              jump_counts: np.ndarray, switch: Callable, window: Optional[np.ndarray] = None) -> tuple:
     """Post-switch states (n_paths, n_steps + 1, dim) and modes (n_paths, n_steps + 1).
 
     At each instant i = 0..n_steps, ``switch(i, x, y, mode)`` gets the
@@ -481,21 +482,32 @@ def _simulate(spec: SddeSpec, grid: TimeGrid, mode: np.ndarray, brownian: np.nda
     takes one ``euler_increment`` into t_{i+1}, checked too, so ``switch``
     never sees a state that failed.  A state that is non-finite or beyond
     ``STATE_BOUND`` raises DivergedError(i).
+
+    A caller that reads only the last instants passes ``window``, a
+    (n_paths, r, dim) buffer with r >= min(n_steps + 1, delay steps + 2):
+    row i % r then holds the states at t_i, so when ``switch`` runs at t_i
+    the rows of t_{i-1} and of the lookback are still there.  No modes are
+    recorded then, and ``(window, None)`` is returned.
     """
     n = grid.n_steps
     pres = spec.presegment(grid)
-    states = np.empty((brownian.shape[0], n + 1, spec.dim))
-    modes = np.empty((brownian.shape[0], n + 1), dtype=np.int64)
+    if window is None:
+        states = np.empty((brownian.shape[0], n + 1, spec.dim))
+        modes = np.empty((brownian.shape[0], n + 1), dtype=np.int64)
+    else:
+        states, modes = window, None
+    r = states.shape[1]
     states[:, 0] = spec.initial_state()
     for i in range(n + 1):
-        x = states[:, i]
+        x = states[:, i % r]
         y = _lookback(states, pres, i) if i < n else None
         switch(i, x, y, mode)
-        modes[:, i] = mode
+        if modes is not None:
+            modes[:, i] = mode
         _check_state(x, i)
         if i == n:
             break
-        x_new = states[:, i + 1]
+        x_new = states[:, (i + 1) % r]
         for b in np.unique(mode):
             sel = mode == b
             counts = jump_counts[sel, i] if spec.jump_intensity > 0.0 else None

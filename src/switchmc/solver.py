@@ -81,7 +81,12 @@ decision, depends only on its own row and not on the rows evaluated
 beside it.
 
 Certification resimulates the extracted policy on a fresh seed and
-reports the gap between the root value and the realized reward.
+reports the gap between the root value and the realized reward.  It holds
+per path the noise and a window of the last min(n + 1, d + 2) states, d
+the delay in steps, and sums each path's reward as the forward loop goes,
+instant by instant once the states have passed the divergence check, in
+the order ``evaluate_reward`` sums a whole record: on the 64-step hydro
+grid 1.0 MB in place of a 7.3 MB record at 2,000 paths.
 """
 
 from __future__ import annotations
@@ -95,7 +100,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._fork import _Child, _empty, _may_fork
-from .controls import (SwitchingProblem, _path_totals, _switch_then_stop, reject_history_reward,
+from .controls import (SwitchingProblem, _add_running, _switch_then_stop, reject_history_reward,
                        validate_target_only)
 from .sdde import TimeGrid, _lookback, _mean_se, _noise_batch, _simulate, sample_noise_batch
 
@@ -957,8 +962,14 @@ def certify(
     through the simulator's forward loop, so a state that turns
     non-finite or leaves ``STATE_BOUND`` raises DivergedError with its
     step index, and a post-switch state is checked at the step of its
-    switch.  Path rewards are summed from the recorded states and modes
-    as in ``evaluate_reward``; a non-finite one raises ValueError.
+    switch.  The loop keeps no record of the paths: per path it holds the
+    noise and a window of min(n_steps + 1, delay steps + 2) states, and
+    adds the running rewards of t_i to the path's total once the states
+    at t_i and those stepped from them have passed that check.  The
+    totals are those ``evaluate_reward`` sums from a whole record, bit
+    for bit; a non-finite one raises ValueError.  On the 64-step hydro
+    instance the window is 10 of 65 rows: 1.0 MB in place of a 7.3 MB
+    record at 2,000 paths, 4.8 MB in place of 36.4 MB at 10,000.
 
     Switches at one instant are resolved in rounds, one decision per mode
     per round, so that same-instant chains compose.  A decision is a
@@ -986,6 +997,8 @@ def certify(
 
     dw, counts = sample_noise_batch(spec, grid, seed, n_paths, quantization)
     mode = np.full(n_paths, modes.initial, dtype=np.int64)
+    window = np.empty((n_paths, min(n + 1, spec.delay_steps(grid) + 2), spec.dim))
+    total = np.zeros(n_paths)
     cost_acc = np.zeros(n_paths)
     switch_count = np.zeros(n_paths, dtype=np.int64)
     # Per mode and path, the state and the target of the path's last
@@ -995,6 +1008,10 @@ def certify(
     seen_target = np.empty((modes.n_modes, n_paths), dtype=np.int64)
 
     def decide(i, x, y, mode):
+        if i > 0:
+            # Both t_{i-1}'s states and those stepped from them have passed
+            # the divergence check; t_{i-1}'s row is still in the window.
+            _add_running(problem, grid, i - 1, window[:, (i - 1) % window.shape[1]], mode, total)
         # Switch resets write through the view ``x``.  Without a delay the
         # lookback ``y`` is the same view, so decisions and the step both
         # see the current states; otherwise it is fixed for the instant.
@@ -1027,19 +1044,20 @@ def certify(
             if not switched_any:
                 break
 
-    states, path_modes = _simulate(spec, grid, mode, dw, counts, decide)
+    _simulate(spec, grid, mode, dw, counts, decide, window)
 
     # No switch is applied at the horizon; count the paths where one would
     # have looked profitable (it should be none when the terminal reward
     # strictly dominates every switch-then-stop).
-    t, x = grid.times[n], states[:, n]
+    t, x = grid.times[n], window[:, n % window.shape[1]]
     g = np.asarray(problem.reward.terminal(x), dtype=float)
     terminal_switches = 0
     for b in np.unique(mode):
         sel = mode == b
         cand = _switch_then_stop(problem.reward, problem.costs, problem.jump_maps, modes, int(b), t, x[sel])
         terminal_switches += int((cand > g[sel]).any(axis=0).sum())
-    j = _path_totals(problem, grid, states, path_modes, cost_acc, g)
+    total += g
+    j = total - cost_acc
     if not np.isfinite(j).all():
         raise ValueError("certified path rewards are not finite: the rewards must be finite")
     lower, lower_se = _mean_se(j)
@@ -1076,7 +1094,7 @@ def surface_to_csv(surface: ValueSurface, fileobj: io.TextIOBase) -> None:
         for b in range(m):
             for i in range(n):
                 coef = surface.coef[i, b, k]
-                fileobj.write(f"{k},{b + 1},{i}," + ",".join(repr(float(c)) for c in coef) + "\n")
+                fileobj.write(f"{k},{b + 1},{i}," + ",".join(map(repr, coef.tolist())) + "\n")
 
 
 def diagnostics_to_json(diag: SolveDiagnostics) -> str:

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +17,8 @@ from switchmc.families import pure_cost_problem, two_mode_flow_problem
 from switchmc.hydro import HydroParams, build_hydro_problem
 from switchmc.oracle import build_lattice, exact_dp
 from switchmc import solver as solver_module
-from switchmc.sdde import DivergedError, _lookback, sample_noise_batch, simulate_batch
+from switchmc.controls import _path_totals
+from switchmc.sdde import DivergedError, _lookback, _mean_se, _simulate, sample_noise_batch, simulate_batch
 from switchmc.solver import (
     SE_BLOCKS,
     FeatureMap,
@@ -776,24 +778,44 @@ def test_certify_raises_when_the_state_diverges():
     assert err.value.step == 1
 
 
-@pytest.mark.parametrize("caller, switch_step", [("simulate_batch", 2), ("solve", 0)])
+@pytest.mark.parametrize("caller, switch_step", [("simulate_batch", 2), ("solve", 0), ("certify", 0)])
 def test_a_bad_reset_is_caught_at_the_switch_instant(caller, switch_step):
     # A target-only reset into mode 2 that returns NaN.  The scheduled
     # switch is at t = 0.5 (index 2); the training ensemble re-rolls about
-    # half its paths into mode 2 at time zero.
+    # half its paths into mode 2 at time zero, and the certified policy
+    # switches every path into mode 2 there.  No running reward is
+    # evaluated at a state that has not passed the divergence check.
     problem, grid = two_mode_flow_problem(n_steps=4)
+    surf = solve(problem, grid, n_paths=100, seed=0) if caller == "certify" else None
+
+    class IntoModeTwo(Policy):
+        # The fitted policy would read its switch values at the NaN reset.
+        def decide_batch(self, i, b, x, y):
+            return np.full(x.shape[0], 2 if b == 1 else 0, dtype=np.int64)
+
+    running, rewarded = problem.reward.running, []
+
+    def spy(t, x, b):
+        rewarded.append(bool(np.isfinite(x).all()))
+        return running(t, x, b)
+
     bad = JumpMapFamily(
         apply=lambda bf, bt, t, x: np.full_like(x, np.nan) if bt == 2 else x, target_only=True
     )
-    problem = dataclasses.replace(problem, jump_maps=bad)
+    problem = dataclasses.replace(
+        problem, jump_maps=bad, reward=dataclasses.replace(problem.reward, running=spy)
+    )
     with pytest.raises(DivergedError) as err:
         if caller == "simulate_batch":
             dw, counts = sample_noise_batch(problem.dynamics, grid, 0, 8)
             simulate_batch(problem.dynamics, grid, SwitchingControl((0.5,), (2,)), dw, counts,
                            switch_map=problem.switch_map)
-        else:
+        elif caller == "solve":
             solve(problem, grid, n_paths=50, seed=0)
+        else:
+            certify(IntoModeTwo(surface=dataclasses.replace(surf, problem=problem)), n_paths=50, seed=1)
     assert err.value.step == switch_step
+    assert all(rewarded)
 
 
 def test_empty_mode_subset_warns_with_its_count():
@@ -1066,6 +1088,113 @@ def test_certify_decides_again_when_a_mode_gets_new_states():
 
     report = certify(Scripted(surface=surf), n_paths=50, seed=1)
     assert report.switch_histogram == {2: 50}
+
+
+def _certify_with_the_full_record(policy, n_paths, seed):
+    """Reference ``certify``: the whole record of states and modes, then ``_path_totals``.
+
+    Every path in a mode is decided in every round; a decision is a
+    function of its row, so these are the switches ``certify`` makes.
+    """
+    surface = policy.surface
+    problem, grid = surface.problem, surface.grid
+    modes, n = problem.modes, grid.n_steps
+    dw, counts = sample_noise_batch(problem.dynamics, grid, seed, n_paths)
+    mode = np.full(n_paths, modes.initial, dtype=np.int64)
+    cost_acc = np.zeros(n_paths)
+    switch_count = np.zeros(n_paths, dtype=np.int64)
+
+    def decide(i, x, y, mode):
+        if i == n:
+            return
+        for _ in range(modes.n_modes - 1):
+            switched_any = False
+            for b in np.unique(mode):
+                sel = np.flatnonzero(mode == b)
+                targets = policy.decide_batch(i, int(b), x[sel], y[sel])
+                hit = np.flatnonzero(targets)
+                if hit.size:
+                    switched_any = True
+                    rows = sel[hit]
+                    cost_acc[rows] += surface.switch_cost[i, b - 1, targets[hit] - 1]
+                    switch_count[rows] += 1
+                    solver_module._apply_switches(problem, grid.times[i], x, mode, rows, targets[hit])
+            if not switched_any:
+                break
+
+    states, path_modes = _simulate(problem.dynamics, grid, mode, dw, counts, decide)
+    t, x = grid.times[n], states[:, n]
+    g = np.asarray(problem.reward.terminal(x), dtype=float)
+    terminal_switches = 0
+    for b in np.unique(mode):
+        sel = mode == b
+        cand = solver_module._switch_then_stop(problem.reward, problem.costs, problem.jump_maps,
+                                               modes, int(b), t, x[sel])
+        terminal_switches += int((cand > g[sel]).any(axis=0).sum())
+    j = _path_totals(problem, grid, states, path_modes, cost_acc)
+    lower, lower_se = _mean_se(j)
+    uniq, cnt = np.unique(switch_count, return_counts=True)
+    bound = modes.n_modes * (j.max() - j.min()) / problem.costs.loop_floor + modes.n_modes
+    return solver_module.CertifyReport(
+        lower_bound=lower, lower_bound_se=lower_se, y0=surface.y0, y0_se=surface.y0_se,
+        gap=surface.y0 - lower, se_combined=float(np.hypot(lower_se, surface.y0_se)),
+        n_paths=n_paths, switch_histogram={int(u): int(c) for u, c in zip(uniq, cnt)},
+        max_switches=int(switch_count.max()), terminal_switches=terminal_switches,
+        j_min=float(j.min()), j_max=float(j.max()), switch_bound=bound,
+        switch_bound_ok=bool(switch_count.max() <= bound),
+    )
+
+
+@pytest.mark.parametrize("name", ["hydro", "flow", "jumps", "delay"])
+def test_certify_equals_the_full_record(name, monkeypatch):
+    # Hydro's delay is one step at 8 steps.  The flow and jump instances
+    # have none, so the lookback must be the current states, resets
+    # included; the flow state stays at 0, the jump instance's moves.  The
+    # delay instance's delay of 2 steps is its whole 2-step grid.
+    if name in ("jumps", "delay"):
+        problem, grid = jumps_instance() if name == "jumps" else delay_instance(n_steps=2)
+        kwargs = dict(n_paths=500, seed=0)
+    else:
+        problem, grid, kwargs = _pinned_problem(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        policy = extract_policy(solve(problem, grid, **kwargs))
+    delay = problem.dynamics.delay_steps(grid)
+    simulate = solver_module._simulate
+
+    def checked(spec, grid, mode, dw, counts, switch, *window):
+        def switch_seeing_resets(i, x, y, mode):
+            assert y is None or np.shares_memory(x, y) == (delay == 0)
+            switch(i, x, y, mode)
+
+        return simulate(spec, grid, mode, dw, counts, switch_seeing_resets, *window)
+
+    monkeypatch.setattr(solver_module, "_simulate", checked)
+    report = certify(policy, n_paths=1000, seed=kwargs["seed"] + 1)
+    reference = _certify_with_the_full_record(policy, n_paths=1000, seed=kwargs["seed"] + 1)
+    for field in dataclasses.fields(report):
+        assert getattr(report, field.name) == getattr(reference, field.name), field.name
+
+
+def test_certify_holds_the_noise_and_a_window_not_the_record():
+    # Flow has one state, no jumps and no delay: the noise is one float
+    # per path and step, a whole record n + 1 floats and n + 1 modes per
+    # path.  The decisions' own temporaries take about 270 bytes per path
+    # at any n, so at 128 steps half a record leaves them room.  Forked
+    # noise halves are mapped memory and not traced.
+    problem, grid = two_mode_flow_problem(n_steps=128)
+    policy = extract_policy(solve(problem, grid, n_paths=300, seed=0))
+    n_paths, n = 10_000, grid.n_steps
+    noise = n_paths * n * 8
+    record = n_paths * (n + 1) * problem.dynamics.dim * 8
+    tracemalloc.start()
+    try:
+        report = certify(policy, n_paths=n_paths, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.switch_histogram == {1: n_paths}
+    assert peak < noise + record / 2
 
 
 @pytest.mark.parametrize("name", ["hydro", "flow"])
